@@ -2,8 +2,9 @@
 // over-clocked Linear Projection design behind the ProjectionServer and
 // measures
 //
-//  1. throughput vs micro-batch size — the max_batch / max_wait dispatcher
-//     trade-off under a closed-loop load of identical request streams;
+//  1. throughput vs micro-batch size — the max_batch / max_wait batching
+//     trade-off of the server's workers under a closed-loop load of
+//     identical request streams;
 //  2. batch scaling of the projection kernel itself — samples/sec of the
 //     batched run_stream path (ProjectionCircuit::project_batch) against
 //     the per-sample scalar loop, on the same jittered clock stream, with
@@ -88,7 +89,7 @@ ThroughputPoint throughput_at_batch(std::size_t max_batch,
   cfg.workers = 2;
   cfg.queue_capacity = requests;  // closed-loop: nothing is shed
   cfg.max_batch = max_batch;
-  cfg.max_wait_ms = 0.0;  // dispatch whatever has queued up
+  cfg.max_wait_ms = 0.0;  // take whatever has queued up
   cfg.check_fraction = 0.05;
   cfg.governor.f_target_mhz = 150.0;
   cfg.governor.f_floor_mhz = 100.0;

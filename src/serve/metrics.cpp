@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 
 namespace oclp {
 
@@ -65,12 +64,13 @@ void ServeMetrics::record_initial_frequency(double freq_mhz) {
   frequency_timeline_.push_back({0, freq_mhz});
 }
 
-ServeMetrics::Snapshot ServeMetrics::snapshot(const ThreadPool* pool) const {
+ServeMetrics::Snapshot ServeMetrics::snapshot() const {
   Snapshot s;
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.rejected_full = rejected_full_.load(std::memory_order_relaxed);
   s.shed_oldest = shed_oldest_.load(std::memory_order_relaxed);
   s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
+  s.failed = failed_.load(std::memory_order_relaxed);
   s.served = served_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.checks = checks_.load(std::memory_order_relaxed);
@@ -83,10 +83,6 @@ ServeMetrics::Snapshot ServeMetrics::snapshot(const ThreadPool* pool) const {
   s.shadow_mismatch = shadow_mismatch_.load(std::memory_order_relaxed);
   s.queue_depth = queue_depth_.load(std::memory_order_relaxed);
   s.queue_peak = queue_peak_.load(std::memory_order_relaxed);
-  if (pool != nullptr) {
-    s.pool_queue_depth = pool->queue_depth();
-    s.pool_inflight = pool->inflight();
-  }
   std::lock_guard lock(mutex_);
   s.mean_batch_size = s.batches == 0
                           ? 0.0
@@ -123,6 +119,7 @@ std::string ServeMetrics::Snapshot::to_json() const {
      << "  \"rejected_full\": " << rejected_full << ",\n"
      << "  \"shed_oldest\": " << shed_oldest << ",\n"
      << "  \"shed_deadline\": " << shed_deadline << ",\n"
+     << "  \"failed\": " << failed << ",\n"
      << "  \"batches\": " << batches << ",\n"
      << "  \"mean_batch_size\": " << mean_batch_size << ",\n"
      << "  \"checks\": " << checks << ",\n"

@@ -19,8 +19,6 @@
 
 namespace oclp {
 
-class ThreadPool;
-
 class ServeMetrics {
  public:
   /// Latency histogram over [0, latency_hist_max_ms). Histogram clamps
@@ -35,6 +33,8 @@ class ServeMetrics {
   void on_rejected_full() { rejected_full_.fetch_add(1, std::memory_order_relaxed); }
   void on_shed_oldest() { shed_oldest_.fetch_add(1, std::memory_order_relaxed); }
   void on_shed_deadline() { shed_deadline_.fetch_add(1, std::memory_order_relaxed); }
+  /// `n` picked-up requests that reached no outcome: their batch threw.
+  void on_failed(std::size_t n) { failed_.fetch_add(n, std::memory_order_relaxed); }
   void on_check(bool error);
   std::uint64_t on_served();  ///< returns the serve sequence number (1-based)
 
@@ -70,13 +70,18 @@ class ServeMetrics {
   };
 
   struct Snapshot {
+    /// submitted == served + rejected_full + shed_oldest + shed_deadline +
+    /// failed once the server is idle.
     std::uint64_t submitted = 0, rejected_full = 0, shed_oldest = 0,
-                  shed_deadline = 0, served = 0, batches = 0, checks = 0,
-                  check_errors = 0;
+                  shed_deadline = 0, failed = 0, served = 0, batches = 0,
+                  checks = 0, check_errors = 0;
     // Design hot-swap health (serve/swap.hpp).
     std::uint64_t design_generation = 0, swaps_committed = 0, swaps_aborted = 0,
                   swap_latency_ns = 0, shadow_compared = 0, shadow_mismatch = 0;
     std::size_t queue_depth = 0, queue_peak = 0;
+    /// pool_inflight: batches a worker has in service (filled in by
+    /// ProjectionServer::metrics_snapshot). pool_queue_depth stays 0: no
+    /// second queue sits behind the bounded one, whose depth is queue_depth.
     std::size_t pool_queue_depth = 0, pool_inflight = 0;
     double mean_batch_size = 0.0;
     std::vector<double> window_error_rates;   ///< per closed governor window
@@ -92,12 +97,12 @@ class ServeMetrics {
     std::string to_json() const;
   };
 
-  /// `pool` (optional) contributes the worker-pool gauges.
-  Snapshot snapshot(const ThreadPool* pool = nullptr) const;
+  Snapshot snapshot() const;
 
  private:
   std::atomic<std::uint64_t> submitted_{0}, rejected_full_{0}, shed_oldest_{0},
-      shed_deadline_{0}, served_{0}, batches_{0}, checks_{0}, check_errors_{0};
+      shed_deadline_{0}, failed_{0}, served_{0}, batches_{0}, checks_{0},
+      check_errors_{0};
   std::atomic<std::uint64_t> design_generation_{0}, swaps_committed_{0},
       swaps_aborted_{0}, swap_latency_ns_{0}, shadow_compared_{0},
       shadow_mismatch_{0};

@@ -36,8 +36,7 @@ ProjectionServer::ProjectionServer(const LinearProjectionDesign& design,
       plan_(plan),
       on_result_(std::move(on_result)),
       governor_(cfg.governor),
-      paused_(cfg.start_paused),
-      pool_(cfg.workers) {
+      paused_(cfg.start_paused) {
   OCLP_CHECK(cfg.workers >= 1 && cfg.queue_capacity >= 1 && cfg.max_batch >= 1);
   OCLP_CHECK(cfg.max_wait_ms >= 0.0);
   OCLP_CHECK(cfg.check_fraction >= 0.0 && cfg.check_fraction <= 1.0);
@@ -62,7 +61,8 @@ ProjectionServer::ProjectionServer(const LinearProjectionDesign& design,
     free_replicas_.push_back(std::move(rep));
   }
   metrics_.record_initial_frequency(cfg.governor.f_target_mhz);
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
+  for (std::size_t w = 0; w < cfg.workers; ++w)
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 ProjectionServer::~ProjectionServer() { stop(); }
@@ -93,7 +93,7 @@ bool ProjectionServer::submit(ServeRequest req) {
     queue_.push_back({std::move(req), Clock::now()});
     metrics_.queue_depth_sample(queue_.size());
   }
-  dispatch_cv_.notify_one();
+  work_cv_.notify_one();
   return true;
 }
 
@@ -102,7 +102,7 @@ void ProjectionServer::resume() {
     std::lock_guard lock(queue_mutex_);
     paused_ = false;
   }
-  dispatch_cv_.notify_all();
+  work_cv_.notify_all();
 }
 
 void ProjectionServer::wait_idle() {
@@ -116,9 +116,10 @@ void ProjectionServer::stop() {
     stopping_ = true;
     paused_ = false;
   }
-  dispatch_cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  wait_idle();  // dispatcher drained the queue; wait out in-flight batches
+  work_cv_.notify_all();
+  // Workers drain the queue and finish their batches before they return.
+  for (auto& worker : workers_)
+    if (worker.joinable()) worker.join();
 }
 
 void ProjectionServer::set_timing_derate(double derate) {
@@ -252,7 +253,10 @@ std::size_t ProjectionServer::queue_depth() const {
 }
 
 ServeMetrics::Snapshot ProjectionServer::metrics_snapshot() const {
-  return metrics_.snapshot(&pool_);
+  auto snap = metrics_.snapshot();
+  std::lock_guard lock(queue_mutex_);
+  snap.pool_inflight = inflight_batches_;
+  return snap;
 }
 
 bool ProjectionServer::sampled_for_check(std::uint64_t id) const {
@@ -264,17 +268,14 @@ bool ProjectionServer::sampled_for_check(std::uint64_t id) const {
   return u < cfg_.check_fraction;
 }
 
-void ProjectionServer::dispatcher_loop() {
+void ProjectionServer::worker_loop() {
+  std::vector<Pending> batch;
   for (;;) {
-    std::vector<Pending> batch;
     {
       std::unique_lock lock(queue_mutex_);
-      dispatch_cv_.wait(
+      work_cv_.wait(
           lock, [&] { return stopping_ || (!paused_ && !queue_.empty()); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
+      if (queue_.empty()) return;  // stopping, and the queue is drained
       // Micro-batch linger: once one request is waiting, hold the batch
       // open up to max_wait for followers — latency traded for batch size.
       if (queue_.size() < cfg_.max_batch && cfg_.max_wait_ms > 0.0 &&
@@ -283,13 +284,12 @@ void ProjectionServer::dispatcher_loop() {
             Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double, std::milli>(
                                    cfg_.max_wait_ms));
-        dispatch_cv_.wait_until(lock, deadline, [&] {
+        work_cv_.wait_until(lock, deadline, [&] {
           return stopping_ || queue_.size() >= cfg_.max_batch;
         });
-        if (queue_.empty()) continue;  // shed/raced away during the linger
+        if (queue_.empty()) continue;  // taken/shed away during the linger
       }
       const std::size_t n = std::min(cfg_.max_batch, queue_.size());
-      batch.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
@@ -297,15 +297,50 @@ void ProjectionServer::dispatcher_loop() {
       metrics_.queue_depth_sample(queue_.size());
       ++inflight_batches_;
     }
-    pool_.submit(
-        [this, b = std::make_shared<std::vector<Pending>>(std::move(batch))] {
-          process_batch(std::move(*b));
-        });
+    // The batch leaves flight on every path, so wait_idle(), stop() and
+    // the destructor always return.
+    struct InFlight {
+      ProjectionServer& server;
+      ~InFlight() {
+        {
+          std::lock_guard lock(server.queue_mutex_);
+          --server.inflight_batches_;
+        }
+        server.idle_cv_.notify_all();
+      }
+    } in_flight{*this};
+    std::size_t settled = 0;
+    try {
+      process_batch(batch, settled);
+    } catch (...) {
+      // A throwing result callback or kernel fails the rest of the batch:
+      // counted, never silently dropped, and this worker keeps serving.
+      metrics_.on_failed(batch.size() - settled);
+    }
+    batch.clear();
   }
 }
 
-void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
-  std::unique_ptr<Replica> rep;
+void ProjectionServer::process_batch(std::vector<Pending>& batch,
+                                     std::size_t& settled) {
+  // The checked-out replica goes back on every path, a throw included, so
+  // no later batch waits on a stranded replica.
+  struct Lease {
+    ProjectionServer& server;
+    std::unique_ptr<Replica> rep;
+    ~Lease() {
+      std::deque<std::unique_ptr<Replica>> destroy;
+      {
+        std::lock_guard lock(server.replica_mutex_);
+        // Return boundary: flip here too, so a swap drains even when no
+        // new batch arrives to trigger the pickup-boundary flip.
+        server.flip_if_stale_locked(rep, destroy);
+        server.free_replicas_.push_back(std::move(rep));
+      }
+      server.replica_cv_.notify_all();
+    }
+  } lease{*this, nullptr};
+  std::unique_ptr<Replica>& rep = lease.rep;
   bool apply_models = false;
   std::deque<std::unique_ptr<Replica>> destroy;
   {
@@ -342,6 +377,7 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
     if (req.deadline_ms > 0.0 &&
         to_ms(pickup - batch[i].enqueued) > req.deadline_ms) {
       metrics_.on_shed_deadline();
+      ++settled;
       continue;
     }
     rep->live.push_back(i);
@@ -436,6 +472,7 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
       res.latency_ms = to_ms(Clock::now() - pending.enqueued);
       latencies.push_back(res.latency_ms);
       metrics_.on_served();
+      ++settled;
       if (on_result_) on_result_(res);
     }
 
@@ -452,21 +489,6 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
     seg_begin = seg_end;
   }
   metrics_.on_batch(batch.size(), latencies);
-
-  {
-    std::lock_guard lock(replica_mutex_);
-    // Return boundary: flip here too, so a swap drains even when no new
-    // batch arrives to trigger the pickup-boundary flip.
-    flip_if_stale_locked(rep, destroy);
-    free_replicas_.push_back(std::move(rep));
-  }
-  replica_cv_.notify_all();
-  destroy.clear();
-  {
-    std::lock_guard lock(queue_mutex_);
-    --inflight_batches_;
-  }
-  idle_cv_.notify_all();
 }
 
 }  // namespace oclp

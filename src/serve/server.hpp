@@ -4,9 +4,9 @@
 // device"; this layer runs the chosen design under load — the ROADMAP's
 // production-serving north star. Architecture:
 //
-//   submit() → bounded request queue → dispatcher (micro-batching:
-//   max_batch / max_wait) → ThreadPool batch tasks → per-replica placed
-//   datapaths (core/circuit_eval) → result callback
+//   submit() → bounded request queue → worker threads, each taking a
+//   micro-batch (max_batch / max_wait) when free → its placed datapath
+//   replica (core/circuit_eval) → result callback
 //
 // A picked-up micro-batch is served through the batched run_stream kernel
 // (ProjectionCircuit::project_batch): every replica multiplier clocks the
@@ -19,12 +19,17 @@
 // served at one (frequency, derate), and with one worker the segmented
 // batch reproduces the sequential per-request loop bit for bit.
 //
-//  * Backpressure: the queue is bounded. When full, RejectNewest bounces
-//    the incoming request back to the caller (load shedding at the edge)
-//    and ShedOldest drops the stalest queued request (freshness under
-//    overload). Requests may also carry a deadline; a request whose
-//    deadline has lapsed by the time a worker picks it up is shed rather
-//    than served dead-on-arrival.
+//  * Backpressure: the bounded queue is the only place requests wait, so
+//    batches grow with load and queue_depth() sees the whole backlog.
+//    When full, RejectNewest bounces the incoming request back to the
+//    caller (load shedding at the edge) and ShedOldest drops the stalest
+//    queued request (freshness under overload). Requests may also carry a
+//    deadline; one that has lapsed by the time a worker picks the request
+//    up is shed rather than served dead-on-arrival.
+//  * Failure containment: a batch that throws — from the result callback
+//    or the kernel — fails its remaining requests (ServeMetrics `failed`)
+//    and releases its replica; the worker keeps serving, and wait_idle(),
+//    stop() and the destructor always return.
 //  * Online error detection: a configurable fraction of requests is
 //    checked against the safe-clock duplicate's value (razor-style time
 //    redundancy at the request level — the shadow copy gets the timing
@@ -59,7 +64,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/circuit_eval.hpp"
 #include "serve/governor.hpp"
 #include "serve/metrics.hpp"
@@ -86,7 +90,7 @@ struct ServeResult {
 };
 
 struct ServeConfig {
-  std::size_t workers = 2;          ///< pool threads == datapath replicas
+  std::size_t workers = 2;          ///< worker threads == datapath replicas
   std::size_t queue_capacity = 1024;
   std::size_t max_batch = 16;
   double max_wait_ms = 0.5;         ///< batch linger once one request is in
@@ -109,7 +113,8 @@ class ProjectionServer {
   /// corrections exactly as in ProjectionCircuit; may be nullptr.
   /// `on_result` is invoked from worker threads for every served request
   /// (never for shed/rejected ones); it must be thread-safe when
-  /// cfg.workers > 1.
+  /// cfg.workers > 1. If it throws, the rest of that batch fails (counted
+  /// in ServeMetrics `failed`) and serving carries on.
   ProjectionServer(const LinearProjectionDesign& design, const Device& device,
                    const CircuitPlan& plan, int wl_x,
                    const ErrorModelMap* models,
@@ -123,7 +128,7 @@ class ProjectionServer {
   /// RejectNewest, or the server is stopping). Thread-safe.
   bool submit(ServeRequest req);
 
-  /// Start dispatching when constructed with start_paused (no-op otherwise).
+  /// Start serving when constructed with start_paused (no-op otherwise).
   void resume();
 
   /// Block until the queue is drained and no batch is in flight.
@@ -174,7 +179,7 @@ class ProjectionServer {
   /// (set_limits); the governor itself is thread-safe.
   FrequencyGovernor& governor() { return governor_; }
   ServeMetrics& metrics() { return metrics_; }
-  /// Metrics snapshot including the worker-pool gauges.
+  /// Metrics snapshot; `pool_inflight` is the number of batches in service.
   ServeMetrics::Snapshot metrics_snapshot() const;
 
   std::size_t dims_p() const { return dims_p_; }
@@ -219,8 +224,11 @@ class ProjectionServer {
     std::vector<std::vector<double>> batch_ys;
   };
 
-  void dispatcher_loop();
-  void process_batch(std::vector<Pending>&& batch);
+  /// Serve batches off the queue until stopping with the queue drained.
+  void worker_loop();
+  /// Serve one picked-up batch; `settled` counts its requests that reached
+  /// an outcome (served or deadline-shed), so a throw fails the rest.
+  void process_batch(std::vector<Pending>& batch, std::size_t& settled);
   bool sampled_for_check(std::uint64_t id) const;
 
   // --- hot-swap plumbing (DesignSwapper drives these; see swap.hpp) -------
@@ -290,16 +298,15 @@ class ProjectionServer {
 
   std::deque<Pending> queue_;
   mutable std::mutex queue_mutex_;
-  std::condition_variable dispatch_cv_;  ///< dispatcher wakeups
-  std::condition_variable idle_cv_;      ///< wait_idle wakeups
+  std::condition_variable work_cv_;  ///< worker wakeups
+  std::condition_variable idle_cv_;  ///< wait_idle wakeups
   bool paused_ = false;
   bool stopping_ = false;
-  std::size_t inflight_batches_ = 0;
+  std::size_t inflight_batches_ = 0;  ///< batches a worker has in service
 
   std::atomic<double> derate_{1.0};
 
-  ThreadPool pool_;
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace oclp

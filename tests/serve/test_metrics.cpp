@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 
 namespace oclp {
 namespace {
@@ -121,9 +120,7 @@ TEST(ServeMetrics, WindowTraceAndFrequencyTimeline) {
 
 TEST(ServeMetrics, PoolGaugesComeFromThePool) {
   ServeMetrics m;
-  EXPECT_EQ(m.snapshot().pool_queue_depth, 0u);
-  ThreadPool pool(2);
-  const auto s = m.snapshot(&pool);
+  const auto s = m.snapshot();
   EXPECT_EQ(s.pool_queue_depth, 0u);
   EXPECT_EQ(s.pool_inflight, 0u);
 }
@@ -138,8 +135,9 @@ TEST(ServeMetrics, JsonContainsEveryKey) {
   const auto json = m.snapshot().to_json();
   for (const char* key :
        {"\"submitted\"", "\"served\"", "\"rejected_full\"", "\"shed_oldest\"",
-        "\"shed_deadline\"", "\"batches\"", "\"mean_batch_size\"", "\"checks\"",
-        "\"check_errors\"", "\"queue_depth\"", "\"queue_peak\"",
+        "\"shed_deadline\"", "\"failed\"", "\"batches\"",
+        "\"mean_batch_size\"", "\"checks\"", "\"check_errors\"",
+        "\"queue_depth\"", "\"queue_peak\"",
         "\"pool_queue_depth\"", "\"pool_inflight\"", "\"window_error_rates\"",
         "\"frequency_timeline\"", "\"at_served\"", "\"freq_mhz\"",
         "\"latency_hist_max_ms\"", "\"latency_overflow\"",

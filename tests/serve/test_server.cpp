@@ -5,7 +5,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -75,6 +80,45 @@ struct ResultLog {
       std::lock_guard lock(mutex);
       results.push_back(r);
     };
+  }
+};
+
+/// Runs `body` on its own thread and aborts the test binary if it has not
+/// finished within a minute: a serving hang fails loudly instead of
+/// stalling the suite.
+template <class Body>
+void under_watchdog(Body body) {
+  auto done = std::async(std::launch::async, std::move(body));
+  if (done.wait_for(std::chrono::seconds(60)) == std::future_status::timeout) {
+    std::fputs("watchdog: serving test hung\n", stderr);
+    std::abort();
+  }
+  done.get();
+}
+
+/// Holds a worker inside the result callback until released, so a test
+/// can submit while the server's only worker is busy.
+struct CallbackGate {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool entered = false;
+  bool released = false;
+  void hold() {
+    std::unique_lock lock(mutex);
+    entered = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  }
+  void wait_entered() {
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return entered; });
+  }
+  void release() {
+    {
+      std::lock_guard lock(mutex);
+      released = true;
+    }
+    cv.notify_all();
   }
 };
 
@@ -196,6 +240,144 @@ TEST(ProjectionServer, ShedOldestKeepsTheFreshestRequests) {
   std::lock_guard lock(log.mutex);
   ASSERT_EQ(log.results.size(), 2u);
   for (const auto& r : log.results) EXPECT_NE(r.id, 1u);
+}
+
+// Requests wait only in the bounded queue: while the only worker is busy,
+// the backlog is visible to queue_depth(), the overload policy bounds it,
+// and once the worker is free the backlog is served in full batches.
+void expect_backlog_bounded_behind_busy_worker(OverloadPolicy policy) {
+  const auto design = serve_design(100.0);
+  const Device device = make_device();
+  const auto plan = deterministic_plan(design);
+  ServeConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 8;
+  cfg.max_batch = 4;
+  cfg.max_wait_ms = 0.0;
+  cfg.overload = policy;
+  cfg.check_fraction = 0.0;
+  cfg.governor.f_target_mhz = 100.0;
+  cfg.governor.f_floor_mhz = 100.0;
+
+  under_watchdog([&] {
+    CallbackGate gate;
+    ResultLog log;
+    ProjectionServer server(
+        design, device, plan, kWlX, nullptr, cfg,
+        [&gate, record = log.callback()](const ServeResult& r) {
+          if (r.id == 1) gate.hold();
+          record(r);
+        });
+    ASSERT_TRUE(server.submit({1, {1, 2, 3, 4}, 0.0}));
+    gate.wait_entered();  // the only worker is now busy with batch {1}
+
+    for (std::uint64_t id = 2; id <= 9; ++id)
+      ASSERT_TRUE(server.submit({id, {1, 2, 3, 4}, 0.0}));
+    // With no worker free, nothing may move the backlog off the bounded
+    // queue, however long it waits.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(server.queue_depth(), 8u);
+    std::size_t accepted = 8;
+    for (std::uint64_t id = 10; id <= 13; ++id)
+      accepted += server.submit({id, {1, 2, 3, 4}, 0.0}) ? 1 : 0;
+    EXPECT_EQ(server.queue_depth(), 8u);
+    {
+      const auto snap = server.metrics_snapshot();
+      EXPECT_EQ(snap.queue_depth, 8u);
+      EXPECT_EQ(snap.pool_inflight, 1u);
+      EXPECT_EQ(snap.pool_queue_depth, 0u);
+      if (policy == OverloadPolicy::RejectNewest) {
+        EXPECT_EQ(accepted, 8u);
+        EXPECT_EQ(snap.rejected_full, 4u);
+        EXPECT_EQ(snap.shed_oldest, 0u);
+      } else {
+        EXPECT_EQ(accepted, 12u);
+        EXPECT_EQ(snap.rejected_full, 0u);
+        EXPECT_EQ(snap.shed_oldest, 4u);
+      }
+    }
+
+    gate.release();
+    server.wait_idle();
+    const auto snap = server.metrics_snapshot();
+    EXPECT_EQ(snap.served, 9u);
+    // {1}, then the 8-request backlog as two full max_batch batches.
+    EXPECT_EQ(snap.batches, 3u);
+    EXPECT_DOUBLE_EQ(snap.mean_batch_size, 3.0);
+    EXPECT_EQ(snap.pool_inflight, 0u);
+    EXPECT_EQ(snap.submitted, snap.served + snap.rejected_full +
+                                  snap.shed_oldest + snap.shed_deadline +
+                                  snap.failed);
+    std::lock_guard lock(log.mutex);
+    ASSERT_EQ(log.results.size(), 9u);
+    // RejectNewest keeps ids 2..9; ShedOldest keeps the freshest, 6..13.
+    const std::uint64_t lo = policy == OverloadPolicy::RejectNewest ? 2 : 6;
+    for (const auto& r : log.results)
+      if (r.id != 1) {
+        EXPECT_GE(r.id, lo);
+        EXPECT_LE(r.id, lo + 7);
+      }
+  });
+}
+
+TEST(ProjectionServer, RejectNewestBoundsTheBacklogBehindABusyWorker) {
+  expect_backlog_bounded_behind_busy_worker(OverloadPolicy::RejectNewest);
+}
+
+TEST(ProjectionServer, ShedOldestBoundsTheBacklogBehindABusyWorker) {
+  expect_backlog_bounded_behind_busy_worker(OverloadPolicy::ShedOldest);
+}
+
+// A throwing result callback must neither hang the server nor lose the
+// rest of its batch silently: those requests are counted as failed, the
+// worker keeps serving, and wait_idle() / the destructor return.
+TEST(ProjectionServer, ThrowingCallbackFailsItsBatchAndKeepsServing) {
+  const auto design = serve_design(100.0);
+  const Device device = make_device();
+  const auto plan = deterministic_plan(design);
+  ServeConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 4;
+  cfg.max_wait_ms = 0.0;
+  cfg.check_fraction = 0.0;
+  cfg.start_paused = true;  // batches {1..4}, {5..8}, … in order
+  cfg.governor.f_target_mhz = 100.0;
+  cfg.governor.f_floor_mhz = 100.0;
+
+  under_watchdog([&] {
+    ResultLog log;
+    ProjectionServer server(
+        design, device, plan, kWlX, nullptr, cfg,
+        [record = log.callback()](const ServeResult& r) {
+          if (r.id % 32 == 7) throw std::runtime_error("callback failed");
+          record(r);
+        });
+    for (std::uint64_t id = 1; id <= 32; ++id)
+      ASSERT_TRUE(server.submit({id, {1, 2, 3, 4}, 0.0}));
+    server.resume();
+    server.wait_idle();
+
+    auto snap = server.metrics_snapshot();
+    EXPECT_EQ(snap.served, 31u);  // id 7 was served; its callback threw
+    EXPECT_EQ(snap.failed, 1u);   // id 8, the rest of that batch
+    EXPECT_EQ(snap.submitted, snap.served + snap.rejected_full +
+                                  snap.shed_oldest + snap.shed_deadline +
+                                  snap.failed);
+    {
+      std::lock_guard lock(log.mutex);
+      EXPECT_EQ(log.results.size(), 30u);
+      for (const auto& r : log.results) EXPECT_NE(r.id, 8u);
+    }
+
+    // The replica came back: the server goes on serving.
+    ASSERT_TRUE(server.submit({33, {1, 2, 3, 4}, 0.0}));
+    server.wait_idle();
+    snap = server.metrics_snapshot();
+    EXPECT_EQ(snap.served, 32u);
+    EXPECT_EQ(snap.submitted, snap.served + snap.rejected_full +
+                                  snap.shed_oldest + snap.shed_deadline +
+                                  snap.failed);
+  });
 }
 
 TEST(ProjectionServer, ExpiredDeadlinesAreShedAtPickup) {
@@ -374,14 +556,18 @@ TEST(ProjectionServer, ServedResultsAreDeterministicAcrossRuns) {
   // identically (one worker, no jitter, seeded sampling).
   const double target = 1.1 * fb;
 
-  auto run = [&] {
+  // One worker, so batch boundaries must never change a result: batch-1
+  // serving is the sequential per-request loop, and a paused queue makes
+  // the whole stream one segmented batch.
+  auto run = [&](std::size_t max_batch, bool start_paused) {
     const auto design = serve_design(target);
     const Device device = make_device();
     const auto plan = deterministic_plan(design);
     ServeConfig cfg;
     cfg.workers = 1;
-    cfg.max_batch = 4;
+    cfg.max_batch = max_batch;
     cfg.max_wait_ms = 0.0;
+    cfg.start_paused = start_paused;
     cfg.check_fraction = 0.25;
     cfg.governor.f_target_mhz = target;
     cfg.governor.f_floor_mhz = 0.4 * fb;
@@ -391,8 +577,9 @@ TEST(ProjectionServer, ServedResultsAreDeterministicAcrossRuns) {
     ProjectionServer server(design, device, plan, kWlX, nullptr, cfg,
                             log.callback());
     Rng rng(1234);
-    for (std::uint64_t id = 1; id <= 30; ++id)
+    for (std::uint64_t id = 1; id <= 64; ++id)
       server.submit({id, random_codes(rng, 4), 0.0});
+    server.resume();
     server.stop();
     std::lock_guard lock(log.mutex);
     auto sorted = log.results;
@@ -401,18 +588,21 @@ TEST(ProjectionServer, ServedResultsAreDeterministicAcrossRuns) {
     return sorted;
   };
 
-  const auto a = run();
-  const auto b = run();
-  ASSERT_EQ(a.size(), 30u);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id);
-    EXPECT_EQ(a[i].checked, b[i].checked);
-    EXPECT_EQ(a[i].check_error, b[i].check_error);
-    EXPECT_DOUBLE_EQ(a[i].freq_mhz, b[i].freq_mhz);
-    ASSERT_EQ(a[i].y.size(), b[i].y.size());
-    for (std::size_t k = 0; k < a[i].y.size(); ++k)
-      EXPECT_DOUBLE_EQ(a[i].y[k], b[i].y[k]);
+  const auto a = run(1, false);
+  ASSERT_EQ(a.size(), 64u);
+  // The governor moved mid-stream, so the batches were cut into segments.
+  EXPECT_NE(a.front().freq_mhz, a.back().freq_mhz);
+  for (const auto& b : {run(4, false), run(4, false), run(64, true)}) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, b[i].id);
+      EXPECT_EQ(a[i].checked, b[i].checked);
+      EXPECT_EQ(a[i].check_error, b[i].check_error);
+      EXPECT_EQ(a[i].freq_mhz, b[i].freq_mhz);  // bitwise
+      ASSERT_EQ(a[i].y.size(), b[i].y.size());
+      for (std::size_t k = 0; k < a[i].y.size(); ++k)
+        EXPECT_EQ(a[i].y[k], b[i].y[k]);
+    }
   }
 }
 
