@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "bayes/grid_kernel.hpp"
 #include "common/rng.hpp"
 #include "linalg/decompositions.hpp"
 
@@ -18,20 +19,6 @@ double dominant_eigenvalue(const Matrix& x) {
   const EigenSym eig = jacobi_eigen_sym(s);
   return eig.values.front();
 }
-
-/// Grid entries whose log-weight sits below wmax + kLogPrune are treated
-/// as zero-probability by the fast path. exp() only underflows to an exact
-/// 0.0 below wmax − 746, but pruning there barely pays: on Table-I data
-/// the single-factor model's Ψ absorbs the unexplained modes, the λ
-/// conditional is merely sharp — not razor-thin — and most of the 2^wl
-/// grid still exponentiates. Pruning at −45 is what makes the grid step
-/// cheap, and its effect on the draw is provably negligible: every pruned
-/// entry has weight < e^−45 of the maximum (which is exactly 1), so the
-/// pruned probability mass is < |grid|·e^−45 ≈ 10⁻¹⁶ of the total and a
-/// draw can only differ when the uniform lands inside that sliver —
-/// < 10⁻⁸ over a full Table-I run. The golden tests against
-/// sample_projection_reference pin chain identity empirically.
-constexpr double kLogPrune = -45.0;
 
 /// Safety margin (in log units) added when converting kLogPrune into a
 /// scoring-band radius, absorbing the rounding slop of the radius
@@ -71,12 +58,12 @@ GibbsResult sample_projection(const Matrix& x, const CoeffPrior& prior,
   // sum_xx[r] = Σ_i x(r,i)²: with sum_xf and sum_ff it makes the residual
   // sum of squares Σ_i (x(r,i) − λ_r f_i)² an O(1) evaluation per row.
   std::vector<double> sum_xx(p, 0.0);
-  settings.exec.for_each(0, p, [&](std::size_t r) {
+  for (std::size_t r = 0; r < p; ++r) {
     const double* xr = x.data() + r * n;
     double s = 0.0;
     for (std::size_t i = 0; i < n; ++i) s += xr[i] * xr[i];
     sum_xx[r] = s;
-  });
+  }
 
   // --- state ---------------------------------------------------------------
   std::vector<double> lambda(p);
@@ -107,6 +94,7 @@ GibbsResult sample_projection(const Matrix& x, const CoeffPrior& prior,
   double loglik_acc = 0.0;
 
   std::vector<double> weights(grid.size());
+  const band::BandKernel& kernel = band::band_kernel();
   const int total_iters = settings.burn_in + settings.samples;
   for (int iter = 0; iter < total_iters; ++iter) {
     // -- f_i | λ, Ψ ---------------------------------------------------------
@@ -126,14 +114,12 @@ GibbsResult sample_projection(const Matrix& x, const CoeffPrior& prior,
     // One fused pass over the data per iteration: sum_xf[r] = Σ_i x(r,i)·f_i
     // feeds both the Ψ scale below and the λ conditional mean afterwards
     // (the pre-restructure code recomputed it row by row in the λ step).
-    // Distinct-row writes with a fixed per-row summation order, so the
-    // policy cannot perturb the chain; every rng draw stays on this thread.
-    settings.exec.for_each(0, p, [&](std::size_t r) {
+    for (std::size_t r = 0; r < p; ++r) {
       const double* xr = x.data() + r * n;
       double s = 0.0;
       for (std::size_t i = 0; i < n; ++i) s += xr[i] * f[i];
       sum_xf[r] = s;
-    });
+    }
 
     // -- Ψ_p | λ, F ----------------------------------------------------------
     // Σ_i (x − λf)² = sum_xx − 2λ·sum_xf + λ²·sum_ff: O(1) per row. Clamp at
@@ -171,8 +157,8 @@ GibbsResult sample_projection(const Matrix& x, const CoeffPrior& prior,
         else if (g0 > 0 && mu - grid[g0 - 1] < grid[g0] - mu) --g0;
         const double d0 = grid[g0] - mu;
         const double l0 = log_prior[g0] - d0 * d0 * inv_two_var;
-        const double radius =
-            std::sqrt((log_pmax - l0 - kLogPrune + kBandMargin) / inv_two_var);
+        const double radius = std::sqrt(
+            (log_pmax - l0 - band::kLogPrune + kBandMargin) / inv_two_var);
         g_lo = grid_lower(grid, mu - radius);
         g_hi = static_cast<std::size_t>(
                    std::upper_bound(grid.begin(), grid.end(), mu + radius) -
@@ -183,40 +169,25 @@ GibbsResult sample_projection(const Matrix& x, const CoeffPrior& prior,
         g_lo = std::min(g_lo, g0);
         g_hi = std::max(g_hi, g0);
       }
-      double wmax = -1e300;
-      for (std::size_t g = g_lo; g <= g_hi; ++g) {
-        const double d = grid[g] - mu;
-        const double lw = log_prior[g] - d * d * inv_two_var;
-        weights[g] = lw;
-        wmax = std::max(wmax, lw);
-      }
-      // Fused exponentiation + normalising total over the band, pruning
-      // in-band stragglers below the same threshold.
-      double wtotal = 0.0;
-      for (std::size_t g = g_lo; g <= g_hi; ++g) {
-        const double e = weights[g] - wmax;
-        const double w = e < kLogPrune ? 0.0 : std::exp(e);
-        weights[g] = w;
-        wtotal += w;
-      }
-      std::size_t g;
-      if (g_lo == 0 && g_hi == grid.size() - 1) {
-        g = rng.categorical(weights, wtotal);
-      } else {
-        // Inline walk, identical to Rng::categorical over the full grid with
-        // the pruned entries at zero weight: subtracting 0.0 from a strictly
-        // positive remainder never crosses zero, so skipping them is exact,
-        // and the fall-through bin is the same last index. Consumes exactly
-        // one uniform either way.
-        OCLP_CHECK_MSG(wtotal > 0.0, "categorical: all weights are zero");
-        double rem = rng.uniform() * wtotal;
-        g = grid.size() - 1;
-        for (std::size_t j = g_lo; j <= g_hi; ++j) {
-          rem -= weights[j];
-          if (rem <= 0.0) {
-            g = j;
-            break;
-          }
+      // Score, exponentiate (pruning in-band stragglers below the same
+      // threshold) and total the band in one kernel call.
+      const band::BandResult b = kernel.fn(grid.data(), log_prior.data(), g_lo,
+                                           g_hi, mu, inv_two_var, weights.data());
+      // The walk of Rng::categorical over the full grid with the pruned
+      // entries at zero weight: subtracting 0.0 from a strictly positive
+      // remainder never crosses zero, so walking only the unpruned span is
+      // exact, and the fall-through bin is the same last index. Consumes
+      // one uniform.
+      OCLP_CHECK_MSG(std::isfinite(b.total),
+                     "categorical: non-finite weight total");
+      OCLP_CHECK_MSG(b.total > 0.0, "categorical: all weights are zero");
+      double rem = rng.uniform() * b.total;
+      std::size_t g = grid.size() - 1;
+      for (std::size_t j = b.first; j <= b.last; ++j) {
+        rem -= weights[j];
+        if (rem <= 0.0) {
+          g = j;
+          break;
         }
       }
       last_index[r] = g;

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bayes/prior.hpp"
-#include "common/exec_policy.hpp"
 #include "linalg/matrix.hpp"
 
 namespace oclp {
@@ -45,13 +44,6 @@ struct GibbsSettings {
   /// stream identically and draws the same chain; it exists as the golden
   /// baseline for the fast path's correctness tests and speedup benches.
   bool reference_impl = false;
-  /// Execution policy of the fast path's per-row data passes (the sum_xx
-  /// precompute and the per-iteration fused Σ x·f pass). Only distinct-row
-  /// writes are distributed — every RNG draw stays strictly sequential on
-  /// the calling thread — so any policy draws the bitwise-identical chain.
-  /// Serial by default: chains are short-row/long-column and usually run
-  /// many-at-once from algorithm1's already-parallel dimension loop.
-  ExecPolicy exec = ExecPolicy::serial();
 };
 
 struct GibbsResult {

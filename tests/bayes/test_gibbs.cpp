@@ -201,20 +201,27 @@ TEST(Gibbs, FastPathMatchesReferenceBitwise) {
 
 TEST(Gibbs, HardwarePriorChainMatchesReferenceBitwise) {
   // Same contract under a non-flat prior, where the fast path's scoring
-  // band is widest (the prior spreads the log-weights).
-  ErrorModel model(acfg(7), 9, {310.0});
-  Rng noise(47);
-  for (std::uint32_t m = 0; m < 128; ++m)
-    model.set(m, 0, noise.uniform() * 1e6, 0.0, 0.0);
-  const auto prior = make_prior(model, acfg(7), 310.0, 4.0);
-  const Matrix x = rank1_data({0.9, -0.5, 0.7, 0.3}, 100, 0.2, 0.02, 49);
-  const auto settings = fast_settings(51);
-  const auto fast = sample_projection(x, prior, settings);
-  auto ref_settings = settings;
-  ref_settings.reference_impl = true;
-  const auto ref = sample_projection(x, prior, ref_settings);
-  EXPECT_EQ(fast.lambda, ref.lambda);
-  EXPECT_EQ(fast.visits, ref.visits);
+  // band is widest (the prior spreads the log-weights), at the largest
+  // word-lengths (where the band kernel scores the most entries per row)
+  // and the Table-I chain length.
+  for (const int wl : {7, 8, 9}) {
+    ErrorModel model(acfg(wl), 9, {310.0});
+    Rng noise(47 + static_cast<std::uint64_t>(wl));
+    for (std::uint32_t m = 0; m < (1u << wl); ++m)
+      model.set(m, 0, noise.uniform() * 1e6, 0.0, 0.0);
+    const auto prior = make_prior(model, acfg(wl), 310.0, 4.0);
+    const Matrix x =
+        rank1_data({0.9, -0.5, 0.7, 0.3, -0.2, 0.45}, 100, 0.2, 0.02, 49);
+    GibbsSettings settings = fast_settings(51);
+    settings.burn_in = 1000;
+    settings.samples = 3000;
+    const auto fast = sample_projection(x, prior, settings);
+    auto ref_settings = settings;
+    ref_settings.reference_impl = true;
+    const auto ref = sample_projection(x, prior, ref_settings);
+    EXPECT_EQ(fast.lambda, ref.lambda) << "wl=" << wl;
+    EXPECT_EQ(fast.visits, ref.visits) << "wl=" << wl;
+  }
 }
 
 TEST(Gibbs, FastAndReferencePosteriorMarginalsAgreeAcrossSeeds) {

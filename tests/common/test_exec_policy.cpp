@@ -1,7 +1,6 @@
 // ExecPolicy: chunking math, deterministic fixed-order reduction, and the
 // bitwise Serial-vs-Pool guarantee of every consumer that routes through
-// the policy layer (multiply, characterise_multiplier, Gibbs scoring,
-// project_batch).
+// the policy layer (multiply, characterise_multiplier, project_batch).
 #include "common/exec_policy.hpp"
 
 #include <gtest/gtest.h>
@@ -11,8 +10,6 @@
 #include <set>
 #include <string>
 
-#include "bayes/gibbs.hpp"
-#include "bayes/prior.hpp"
 #include "charlib/sweep.hpp"
 #include "common/rng.hpp"
 #include "core/circuit_eval.hpp"
@@ -266,30 +263,6 @@ TEST(ExecPolicy, ErrorRateCurveIsBitwiseIdenticalSerialVsPool) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(serial[i].error_rate, pooled[i].error_rate);
     ASSERT_EQ(serial[i].error_variance, pooled[i].error_variance);
-  }
-}
-
-TEST(ExecPolicy, GibbsChainIsBitwiseIdenticalAcrossPolicies) {
-  Rng rng(5);
-  Matrix x(6, 40);
-  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal(0, 1);
-  const CoeffPrior prior =
-      make_flat_prior(MultConfig{MultArch::Array, 5, 1}, 310.0);
-  GibbsSettings gs;
-  gs.burn_in = 20;
-  gs.samples = 60;
-  gs.seed = 33;
-  const GibbsResult ref = sample_projection(x, prior, gs);
-  for (const auto& p : {ExecPolicy(), ExecPolicy::pooled(nullptr, ExecChunking{1}),
-                        ExecPolicy::serial(ExecChunking{2})}) {
-    GibbsSettings alt = gs;
-    alt.exec = p;
-    const GibbsResult got = sample_projection(x, prior, alt);
-    ASSERT_EQ(got.lambda, ref.lambda);
-    ASSERT_EQ(got.lambda_mean, ref.lambda_mean);
-    ASSERT_EQ(got.psi, ref.psi);
-    ASSERT_EQ(got.visits, ref.visits);
-    ASSERT_EQ(got.avg_log_likelihood, ref.avg_log_likelihood);
   }
 }
 

@@ -5,8 +5,9 @@ Reads the committed floors (bench/perf_floors.json), then for each listed
 bench JSON:
 
   * every dotted-path metric must be >= its floor (a perf regression), and
-  * every ``*_checksum_match`` field anywhere in the document must be true
-    (a correctness regression, which outranks any speedup).
+  * every ``*_checksum_match`` and ``*_identical`` field anywhere in the
+    document must be true (a correctness regression, which outranks any
+    speedup).
 
 Usage:
     check_perf_floors.py --floors bench/perf_floors.json --dir build
@@ -31,12 +32,15 @@ def resolve(doc, dotted):
     return node
 
 
+CORRECTNESS_SUFFIXES = ("_checksum_match", "_identical")
+
+
 def checksum_fields(node, prefix=""):
-    """Yield (path, value) for every *_checksum_match key, recursively."""
+    """Yield (path, value) for every correctness flag, recursively."""
     if isinstance(node, dict):
         for key, value in node.items():
             path = f"{prefix}.{key}" if prefix else key
-            if key.endswith("_checksum_match"):
+            if key.endswith(CORRECTNESS_SUFFIXES):
                 yield path, value
             else:
                 yield from checksum_fields(value, path)
