@@ -120,22 +120,19 @@ void BM_CharacterisationStreamMulti(benchmark::State& state) {
 }
 BENCHMARK(BM_CharacterisationStreamMulti)->Arg(4)->Arg(12)->Arg(32);
 
-// Streaming settle propagation of an 8×8 calibrated multiplier including
-// per-sample threshold capture at a jittered period: the integer-picosecond
-// max-plus kernel (run_stream) against the retained double reference
-// (run_stream_ref) on the *same* sim, so delays and toggle activity are
-// identical and only the kernel differs.
-void settle_stream_bench(benchmark::State& state, bool integer_kernel) {
+// Streaming settle propagation of an 8×8 calibrated multiplier through the
+// integer-picosecond max-plus kernel (run_stream), including per-sample
+// threshold capture at a jittered period.
+void BM_SettleStream(benchmark::State& state) {
   Device device(reference_device_config(), kReferenceDieSeed);
   Netlist nl = make_multiplier(8, 8);
   auto delays = annotate_timing(nl, device, reference_location_1());
-  OverclockSim sim(std::move(nl), std::move(delays), TimingMode::IntegerExact);
+  OverclockSim sim(std::move(nl), std::move(delays));
   const std::size_t ni = sim.netlist().num_inputs();
 
   const std::size_t n = 4096;
   Rng rng(11);
   std::vector<std::uint8_t> flat(n * ni);
-  std::vector<double> periods(n);
   std::vector<std::uint64_t> pticks(n);
   const double crit_ns = PsGrid::to_ns(
       static_cast<std::uint32_t>(sim.critical_path_ticks()));
@@ -143,8 +140,7 @@ void settle_stream_bench(benchmark::State& state, bool integer_kernel) {
     auto row = to_bits(rng.uniform_u64(256), 8);
     append_bits(row, rng.uniform_u64(256), 8);
     std::copy(row.begin(), row.end(), flat.begin() + s * ni);
-    periods[s] = rng.uniform(0.45, 1.05) * crit_ns;
-    pticks[s] = PsGrid::period_ticks(periods[s]);
+    pticks[s] = PsGrid::period_ticks(rng.uniform(0.45, 1.05) * crit_ns);
   }
 
   const std::vector<std::uint8_t> zero(ni, 0);
@@ -153,27 +149,14 @@ void settle_stream_bench(benchmark::State& state, bool integer_kernel) {
   std::uint64_t sum = 0;
   for (auto _ : state) {
     sim.reset(st, zero);
-    if (integer_kernel) {
-      sim.run_stream(st, flat.data(), n, stream);
-      for (std::size_t s = 0; s < n; ++s)
-        sum += stream.capture_word_ticks(s, pticks[s]);
-    } else {
-      sim.run_stream_ref(st, flat.data(), n, stream);
-      for (std::size_t s = 0; s < n; ++s)
-        sum += stream.capture_word(s, periods[s]);
-    }
+    sim.run_stream(st, flat.data(), n, stream);
+    for (std::size_t s = 0; s < n; ++s)
+      sum += stream.capture_word_ticks(s, pticks[s]);
   }
   benchmark::DoNotOptimize(sum);
   state.SetItemsProcessed(state.iterations() * n);
 }
-void BM_SettleStreamInt(benchmark::State& state) {
-  settle_stream_bench(state, true);
-}
-void BM_SettleStreamDouble(benchmark::State& state) {
-  settle_stream_bench(state, false);
-}
-BENCHMARK(BM_SettleStreamInt);
-BENCHMARK(BM_SettleStreamDouble);
+BENCHMARK(BM_SettleStream);
 
 void BM_QuantizeCoeff(benchmark::State& state) {
   Rng rng(4);
@@ -406,56 +389,6 @@ void write_sweep_probe(const char* path, bool smoke) {
   const double sps_interp = total_samples / dt_interp;
   const double sps_ref = total_samples / dt_ref;
 
-  // Settle-kernel section: the integer-picosecond max-plus stream kernel
-  // vs the retained double reference on one calibrated 8×8 multiplier,
-  // per-sample jittered-period captures included. The two paths must agree
-  // bit for bit (the PsGrid dequantisation is exact); the speedup is what
-  // the batched projection and sweep paths inherit per settle pass.
-  Netlist sk_nl = make_multiplier(8, 8);
-  auto sk_delays = annotate_timing(sk_nl, device, reference_location_1());
-  OverclockSim sk_sim(std::move(sk_nl), std::move(sk_delays),
-                      TimingMode::IntegerExact);
-  const std::size_t sk_ni = sk_sim.netlist().num_inputs();
-  const std::size_t sk_n = smoke ? 4096 : 32768;
-  Rng sk_rng(11);
-  std::vector<std::uint8_t> sk_flat(sk_n * sk_ni);
-  std::vector<double> sk_periods(sk_n);
-  std::vector<std::uint64_t> sk_pticks(sk_n);
-  const double sk_crit_ns = PsGrid::to_ns(
-      static_cast<std::uint32_t>(sk_sim.critical_path_ticks()));
-  for (std::size_t s = 0; s < sk_n; ++s) {
-    auto row = to_bits(sk_rng.uniform_u64(256), 8);
-    append_bits(row, sk_rng.uniform_u64(256), 8);
-    std::copy(row.begin(), row.end(), sk_flat.begin() + s * sk_ni);
-    sk_periods[s] = sk_rng.uniform(0.45, 1.05) * sk_crit_ns;
-    sk_pticks[s] = PsGrid::period_ticks(sk_periods[s]);
-  }
-  const std::vector<std::uint8_t> sk_zero(sk_ni, 0);
-  OverclockSim::State sk_st;
-  OverclockSim::SweepStream sk_stream;
-  std::uint64_t checksum_int = 0, checksum_double = 0;
-  const double dt_int = best_seconds(
-      [&] {
-        checksum_int = 0;
-        sk_sim.reset(sk_st, sk_zero);
-        sk_sim.run_stream(sk_st, sk_flat.data(), sk_n, sk_stream);
-        for (std::size_t s = 0; s < sk_n; ++s)
-          checksum_int += sk_stream.capture_word_ticks(s, sk_pticks[s]);
-      },
-      budget_s);
-  const double dt_double = best_seconds(
-      [&] {
-        checksum_double = 0;
-        sk_sim.reset(sk_st, sk_zero);
-        sk_sim.run_stream_ref(sk_st, sk_flat.data(), sk_n, sk_stream);
-        for (std::size_t s = 0; s < sk_n; ++s)
-          checksum_double += sk_stream.capture_word(s, sk_periods[s]);
-      },
-      budget_s);
-  const double sps_int = static_cast<double>(sk_n) / dt_int;
-  const double sps_double = static_cast<double>(sk_n) / dt_double;
-  const bool sk_match = checksum_int == checksum_double;
-
   std::ofstream os(path);
   os.precision(10);
   os << "{\n"
@@ -474,13 +407,7 @@ void write_sweep_probe(const char* path, bool smoke) {
      << "  \"erroneous_checksum_match\": "
      << (checksum_single == checksum_ref ? "true" : "false") << ",\n"
      << "  \"interpreted_checksum_match\": "
-     << (checksum_single == checksum_interp ? "true" : "false") << ",\n"
-     << "  \"settle_kernel_samples\": " << sk_n << ",\n"
-     << "  \"settle_kernel_int_samples_per_sec\": " << sps_int << ",\n"
-     << "  \"settle_kernel_double_samples_per_sec\": " << sps_double << ",\n"
-     << "  \"settle_kernel_speedup\": " << sps_int / sps_double << ",\n"
-     << "  \"settle_kernel_checksum_match\": "
-     << (sk_match ? "true" : "false") << "\n"
+     << (checksum_single == checksum_interp ? "true" : "false") << "\n"
      << "}\n";
   std::printf(
       "sweep_throughput: compiled single-pass %.3g samples/s, interpreted "
@@ -490,11 +417,6 @@ void write_sweep_probe(const char* path, bool smoke) {
       sps_single / sps_ref,
       checksum_single == checksum_interp ? "interp-match" : "INTERP-MISMATCH",
       checksum_single == checksum_ref ? "ref-match" : "REF-MISMATCH", path);
-  std::printf(
-      "settle_kernel: int-ps %.3g samples/s, double %.3g samples/s "
-      "(%.2fx), checksums %s\n",
-      sps_int, sps_double, sps_int / sps_double,
-      sk_match ? "match" : "MISMATCH");
 }
 
 }  // namespace

@@ -28,11 +28,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "fabric/calibration.hpp"
-#include "fabric/timing_annotation.hpp"
-#include "mult/bitcodec.hpp"
-#include "mult/multiplier.hpp"
 #include "serve/server.hpp"
-#include "timing/overclock_sim.hpp"
 
 using namespace oclp;
 
@@ -201,88 +197,6 @@ BatchScaling run_batch_scaling(bool smoke) {
   return out;
 }
 
-struct SettleKernel {
-  std::size_t samples = 0;
-  double int_samples_per_sec = 0.0;
-  double double_samples_per_sec = 0.0;
-  double int_vs_double_speedup = 0.0;
-  bool checksum_match = true;  ///< captures bitwise equal across kernels
-};
-
-// Settle-kernel section: the integer-picosecond max-plus stream kernel
-// (what project_batch runs per multiplier) against the retained double
-// reference, on one calibrated 8×8 multiplier with per-sample
-// jittered-period captures. Both kernels run on the *same* sim, so delays
-// and toggle activity are identical; the captured words must agree bit for
-// bit (the PsGrid dequantisation is exact).
-SettleKernel run_settle_kernel(bool smoke) {
-  const Device device = make_device();
-  Netlist nl = make_multiplier(8, kWlX);
-  auto delays = annotate_timing(nl, device, reference_location_1());
-  OverclockSim sim(std::move(nl), std::move(delays), TimingMode::IntegerExact);
-  const std::size_t ni = sim.netlist().num_inputs();
-
-  SettleKernel out;
-  out.samples = smoke ? 4096 : 32768;
-  Rng rng(0x5E77);
-  std::vector<std::uint8_t> flat(out.samples * ni);
-  std::vector<double> periods(out.samples);
-  std::vector<std::uint64_t> pticks(out.samples);
-  const double crit_ns =
-      PsGrid::to_ns(static_cast<std::uint32_t>(sim.critical_path_ticks()));
-  for (std::size_t s = 0; s < out.samples; ++s) {
-    auto row = to_bits(rng.uniform_u64(256), 8);
-    append_bits(row, rng.uniform_u64(1u << kWlX), kWlX);
-    std::copy(row.begin(), row.end(), flat.begin() + s * ni);
-    periods[s] = rng.uniform(0.45, 1.05) * crit_ns;
-    pticks[s] = PsGrid::period_ticks(periods[s]);
-  }
-
-  // Best-of repeated timing (one pass is milliseconds, below scheduler
-  // noise): repeat until the budget accumulates and keep the fastest rep.
-  const double budget_s = smoke ? 0.3 : 1.5;
-  const auto best_seconds = [&](auto&& fn) {
-    double best = 1e300, acc = 0.0;
-    int reps = 0;
-    while (acc < budget_s || reps < 3) {
-      const auto t0 = std::chrono::steady_clock::now();
-      fn();
-      const double dt =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      best = std::min(best, dt);
-      acc += dt;
-      ++reps;
-    }
-    return best;
-  };
-
-  const std::vector<std::uint8_t> zero(ni, 0);
-  OverclockSim::State st;
-  OverclockSim::SweepStream stream;
-  std::uint64_t checksum_int = 0, checksum_double = 0;
-  const double dt_int = best_seconds([&] {
-    checksum_int = 0;
-    sim.reset(st, zero);
-    sim.run_stream(st, flat.data(), out.samples, stream);
-    for (std::size_t s = 0; s < out.samples; ++s)
-      checksum_int += stream.capture_word_ticks(s, pticks[s]);
-  });
-  const double dt_double = best_seconds([&] {
-    checksum_double = 0;
-    sim.reset(st, zero);
-    sim.run_stream_ref(st, flat.data(), out.samples, stream);
-    for (std::size_t s = 0; s < out.samples; ++s)
-      checksum_double += stream.capture_word(s, periods[s]);
-  });
-  out.int_samples_per_sec = static_cast<double>(out.samples) / dt_int;
-  out.double_samples_per_sec = static_cast<double>(out.samples) / dt_double;
-  out.int_vs_double_speedup =
-      out.int_samples_per_sec / out.double_samples_per_sec;
-  out.checksum_match = checksum_int == checksum_double;
-  return out;
-}
-
 struct DegradationTrace {
   double f_target_mhz = 0.0, f_floor_mhz = 0.0, hot_derate = 0.0;
   ServeMetrics::Snapshot snap;
@@ -344,8 +258,7 @@ DegradationTrace degradation_trace(bool smoke) {
 
 void write_json(const char* path, bool smoke,
                 const std::vector<ThroughputPoint>& points,
-                const BatchScaling& scaling, const SettleKernel& kernel,
-                const DegradationTrace& trace) {
+                const BatchScaling& scaling, const DegradationTrace& trace) {
   std::ofstream os(path);
   os.precision(10);
   os << "{\n  \"bench\": \"serve\",\n"
@@ -378,16 +291,6 @@ void write_json(const char* path, bool smoke,
      << scaling.batched_vs_scalar_speedup << ",\n"
      << "    \"batched_vs_scalar_checksum_match\": "
      << (scaling.checksum_match ? "true" : "false") << "\n"
-     << "  },\n"
-     << "  \"settle_kernel\": {\n"
-     << "    \"samples\": " << kernel.samples << ",\n"
-     << "    \"int_samples_per_sec\": " << kernel.int_samples_per_sec << ",\n"
-     << "    \"double_samples_per_sec\": " << kernel.double_samples_per_sec
-     << ",\n"
-     << "    \"int_vs_double_speedup\": " << kernel.int_vs_double_speedup
-     << ",\n"
-     << "    \"int_vs_double_checksum_match\": "
-     << (kernel.checksum_match ? "true" : "false") << "\n"
      << "  },\n"
      << "  \"degradation\": {\n"
      << "    \"f_target_mhz\": " << trace.f_target_mhz << ",\n"
@@ -441,14 +344,6 @@ int main(int argc, char** argv) {
   std::printf("batch scaling: checksum %s\n",
               scaling.checksum_match ? "MATCH" : "MISMATCH");
 
-  const auto kernel = run_settle_kernel(smoke);
-  std::printf(
-      "settle kernel: int-ps %8.0f samples/s, double %8.0f samples/s "
-      "(%.2fx), checksum %s\n",
-      kernel.int_samples_per_sec, kernel.double_samples_per_sec,
-      kernel.int_vs_double_speedup,
-      kernel.checksum_match ? "MATCH" : "MISMATCH");
-
   const auto trace = degradation_trace(smoke);
   std::printf(
       "degradation: target %.1f MHz, hot derate %.2fx -> floor %.1f MHz; "
@@ -460,7 +355,7 @@ int main(int argc, char** argv) {
       trace.snap.frequency_timeline.size(),
       static_cast<unsigned long long>(trace.snap.latency_overflow));
 
-  write_json("BENCH_serve.json", smoke, points, scaling, kernel, trace);
+  write_json("BENCH_serve.json", smoke, points, scaling, trace);
   std::printf("-> BENCH_serve.json\n");
   return 0;
 }

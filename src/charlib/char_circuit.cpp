@@ -27,10 +27,9 @@ std::vector<OverclockSim> make_dut_sims(const CharCircuitConfig& cfg,
   std::vector<OverclockSim> sims;
   auto lower = [&](Netlist dut) {
     std::vector<double> delays = annotate_timing(dut, device, placement);
-    // Calibrated delays are PsGrid-snapped, so the integer settle kernel is
-    // required to lower — an off-grid delay here is a calibration bug.
-    sims.emplace_back(std::move(dut), std::move(delays),
-                      TimingMode::IntegerExact);
+    // Calibrated delays are PsGrid-snapped, so lowering cannot reject them
+    // — an off-grid delay here is a calibration bug.
+    sims.emplace_back(std::move(dut), std::move(delays));
   };
   if (cfg.mult.arch == MultArch::Ccm) {
     const std::uint32_t count = 1u << cfg.mult.wordlength;
@@ -277,16 +276,11 @@ std::vector<CharTrace> CharacterisationCircuit::run_multi(
 
   // Sampling a frequency is then obs = settled word with the too-late
   // toggled bits flipped back — bitwise identical to thresholding every
-  // bit, but O(toggled) per frequency instead of O(output width). With an
-  // integer-kernel stream (the production case) the compares run on uint32
-  // ticks against one exact threshold conversion per (sample, frequency) —
-  // the jittered period varies per sample, so it cannot hoist further —
-  // which matches the double rule bitwise (see PsGrid::period_ticks).
-  const std::uint32_t* tbegin = ws.stream.toggle_begin.data();
-  const std::uint8_t* tbit = ws.stream.toggle_bit.data();
-  const bool ticks = ws.stream.has_ticks;
-  const double* tsettle = ws.stream.toggle_settle.data();
-  const std::uint32_t* tsettle_ticks = ws.stream.toggle_settle_ticks.data();
+  // bit, but O(toggled) per frequency instead of O(output width). The
+  // compares run on uint32 ticks against one exact threshold conversion
+  // per (sample, frequency) — the jittered period varies per sample, so it
+  // cannot hoist further — which matches the double rule bitwise (see
+  // PsGrid::period_ticks).
   for (std::size_t i = 0; i < n; ++i) {
     double j = 0.0;
     if (sigma > 0.0) {
@@ -298,19 +292,8 @@ std::vector<CharTrace> CharacterisationCircuit::run_multi(
 
     const std::uint64_t exp =
         static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(xs[i]);
-    const std::uint64_t settled = ws.stream.settled[i];
     for (std::size_t fi = 0; fi < nf; ++fi) {
-      const double period = periods[fi] + j;
-      std::uint64_t obs = settled;
-      if (ticks) {
-        const std::uint64_t pticks = PsGrid::period_ticks(period);
-        for (std::uint32_t ti = tbegin[i]; ti < tbegin[i + 1]; ++ti)
-          obs ^= static_cast<std::uint64_t>(tsettle_ticks[ti] > pticks)
-                 << tbit[ti];
-      } else {
-        for (std::uint32_t ti = tbegin[i]; ti < tbegin[i + 1]; ++ti)
-          obs ^= static_cast<std::uint64_t>(tsettle[ti] > period) << tbit[ti];
-      }
+      const std::uint64_t obs = ws.stream.capture_word(i, periods[fi] + j);
       CharTrace& t = traces[fi];
       t.observed[i] = obs;
       t.error[i] =

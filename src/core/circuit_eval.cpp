@@ -90,11 +90,10 @@ ProjectionCircuit::ProjectionCircuit(const LinearProjectionDesign& design,
                                              col.coeffs[pp].magnitude, wl_x)
                        : make_multiplier(col.config, wl_x);
       auto delays = annotate_timing(nl, device, place);
-      // IntegerExact: annotate_timing snaps onto the PsGrid, so the
-      // integer settle kernel must lower — a failure here means a
-      // mis-calibrated delay, not a legitimate fallback.
-      sims_.push_back(std::make_unique<OverclockSim>(
-          std::move(nl), std::move(delays), TimingMode::IntegerExact));
+      // annotate_timing snaps onto the PsGrid, so lowering cannot reject
+      // these delays — a failure here means a mis-calibrated delay.
+      sims_.push_back(
+          std::make_unique<OverclockSim>(std::move(nl), std::move(delays)));
     }
   }
   recompute_mean_correction();
@@ -222,12 +221,9 @@ void ProjectionCircuit::project_batch(
   // here instead of once per (multiplier, sample) in the capture loop;
   // the conversion is exact for arbitrary jittered periods (see PsGrid),
   // so tick capture matches the double rule bitwise.
-  periods_.resize(n);
   periods_ticks_.resize(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    periods_[s] = clock_.next_period_ns();
-    periods_ticks_[s] = PsGrid::period_ticks(periods_[s]);
-  }
+  for (std::size_t s = 0; s < n; ++s)
+    periods_ticks_[s] = PsGrid::period_ticks(clock_.next_period_ns());
 
   const std::size_t kp = k * p;
   const bool need_reset = first_sample_;
@@ -274,23 +270,13 @@ void ProjectionCircuit::project_batch(
       sim.run_stream(ws.inputs.data(), n, ws.stream);
 
       // Per-sample signed, scaled product — the exact expression project()
-      // accumulates, evaluated per multiplier into an SoA slab. Integer
-      // capture when the sim lowered integer (IntegerExact above, so
-      // always in practice): unsigned tick compares against the
-      // pre-converted thresholds.
+      // accumulates, evaluated per multiplier into an SoA slab: unsigned
+      // tick compares against the pre-converted thresholds.
       double* c = contrib_.data() + m * n;
-      if (sim.integer_kernel()) {
-        for (std::size_t s = 0; s < n; ++s) {
-          const double product = static_cast<double>(
-              ws.stream.capture_word_ticks(s, periods_ticks_[s]));
-          c[s] = col.coeffs[pp].sign * product / scale;
-        }
-      } else {
-        for (std::size_t s = 0; s < n; ++s) {
-          const double product =
-              static_cast<double>(ws.stream.capture_word(s, periods_[s]));
-          c[s] = col.coeffs[pp].sign * product / scale;
-        }
+      for (std::size_t s = 0; s < n; ++s) {
+        const double product = static_cast<double>(
+            ws.stream.capture_word_ticks(s, periods_ticks_[s]));
+        c[s] = col.coeffs[pp].sign * product / scale;
       }
     }
   });

@@ -159,8 +159,7 @@ class ProjectionCircuit {
   std::vector<std::uint8_t> in_;            ///< project() scratch, reused
   std::vector<std::uint64_t> lane_words_;   ///< project_settled() scratch
   // project_batch scratch, reused across batches.
-  std::vector<double> periods_;             ///< per-sample jittered periods
-  std::vector<std::uint64_t> periods_ticks_;  ///< the same, as PsGrid ticks
+  std::vector<std::uint64_t> periods_ticks_;  ///< jittered periods, PsGrid ticks
   std::vector<double> contrib_;             ///< K·P × n per-multiplier terms
   ChunkArena<BatchWorkspace> batch_ws_;     ///< one stable slot per chunk
   /// Stream-distribution policy. One chunk per worker mirrors the shard

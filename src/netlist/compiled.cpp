@@ -299,19 +299,6 @@ std::vector<std::uint32_t> CompiledNetlist::quantise_delays(
   return ticks;
 }
 
-bool CompiledNetlist::try_quantise_delays(
-    const std::vector<double>& cell_delay_ns, std::vector<std::uint32_t>& ticks,
-    std::uint64_t* critical_path_ticks) const {
-  if (cell_delay_ns.size() != num_cells()) return false;
-  ticks.resize(num_cells());
-  for (std::size_t ci = 0; ci < num_cells(); ++ci)
-    if (!PsGrid::try_ticks(cell_delay_ns[ci], ticks[ci])) return false;
-  const std::uint64_t worst = critical_path_ticks_of(*this, ticks);
-  if (worst > std::numeric_limits<std::uint32_t>::max()) return false;
-  if (critical_path_ticks != nullptr) *critical_path_ticks = worst;
-  return true;
-}
-
 void CompiledNetlist::eval(std::vector<std::uint8_t>& vals) const {
   OCLP_CHECK(vals.size() == num_nets());
   vals[kConst0Net] = 0;

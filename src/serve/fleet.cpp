@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 
 #include "common/rng.hpp"
 
@@ -314,7 +315,13 @@ void ProjectionFleet::recheck_loop() {
   while (!stopping_) {
     if (stop_cv_.wait_for(lock, period, [&] { return stopping_; })) break;
     lock.unlock();
-    recharacterise(next_die);
+    try {
+      recharacterise(next_die);
+    } catch (const std::exception&) {
+      // The probe throws before the model store, so the die keeps its last
+      // published models and floor; count it and keep cycling.
+      dies_[next_die]->recheck_failures.fetch_add(1, std::memory_order_relaxed);
+    }
     next_die = (next_die + 1) % dies_.size();
     lock.lock();
   }
@@ -336,6 +343,7 @@ DieStatus ProjectionFleet::die_status(std::size_t die_index) const {
   s.routed = die.routed.load(std::memory_order_relaxed);
   s.recharacterisations =
       die.recharacterisations.load(std::memory_order_relaxed);
+  s.recheck_failures = die.recheck_failures.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -20,7 +20,9 @@
 //     server's replicas pick the new corrections up at their next batch —
 //     plus a governor floor adjustment when the measured error-free fmax
 //     moved (aging/temperature drift: the offline bench_ext_aging probe
-//     promoted to a live control plane).
+//     promoted to a live control plane). A cycle that throws is counted
+//     per die (DieStatus::recheck_failures) and publishes nothing; the
+//     thread moves on to the next die.
 //
 // Determinism: construction and recharacterise() are deterministic in the
 // config seeds; tests drive recharacterise() synchronously and keep the
@@ -111,6 +113,10 @@ struct DieStatus {
   std::size_t queue_depth = 0;
   std::uint64_t routed = 0;   ///< requests this fleet placed on the die
   std::uint64_t recharacterisations = 0;
+  /// Background re-characterisation cycles that threw (e.g. drift past the
+  /// supporting logic's Fmax). Such a cycle publishes nothing: the die
+  /// keeps its last models and floor.
+  std::uint64_t recheck_failures = 0;
 };
 
 class ProjectionFleet {
@@ -204,6 +210,7 @@ class ProjectionFleet {
     std::atomic<double> recheck_fmax_mhz{0.0};
     std::atomic<std::uint64_t> routed{0};
     std::atomic<std::uint64_t> recharacterisations{0};
+    std::atomic<std::uint64_t> recheck_failures{0};
     std::uint64_t recheck_phase = 0;  ///< guarded by recheck_mutex_
 
     explicit Die(Device d) : device(std::move(d)) {}

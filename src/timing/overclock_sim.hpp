@@ -61,20 +61,13 @@
 
 namespace oclp {
 
-/// Which settle kernel an OverclockSim lowers onto (see PsGrid).
+/// Delay lowering mode. Every OverclockSim quantises its delays strictly
+/// onto the PsGrid (see the constructor), so there is one mode; the enum
+/// is kept only because callers outside the library still pass it.
 enum class TimingMode : std::uint8_t {
-  /// Integer-picosecond kernel when every delay is grid-exact and the
-  /// worst-case path fits uint32 ticks; double kernel otherwise. The
-  /// default: calibration-produced delays always take the integer path,
-  /// arbitrary (test) delays still work.
-  Auto,
-  /// Require the integer kernel: construction throws, naming the cell,
-  /// if any delay is off-grid or the path sum overflows. Production
-  /// datapaths use this so a mis-calibrated delay is an error, not a
-  /// silent fallback.
+  /// Construction throws, naming the cell, if any delay is off-grid or the
+  /// worst-case path sum overflows uint32 ticks.
   IntegerExact,
-  /// Force the retained double kernel (the golden reference).
-  DoubleRef,
 };
 
 class OverclockSim {
@@ -101,24 +94,19 @@ class OverclockSim {
   };
 
   /// Takes the netlist and the per-cell delays of a specific placement on a
-  /// specific device (see fabric::annotate_timing). `mode` selects the
-  /// settle kernel (integer picosecond vs double reference); delays are
-  /// quantised here, at lowering time.
+  /// specific device (see fabric::annotate_timing). Delays are quantised
+  /// onto the PsGrid here, at lowering time: construction throws, naming
+  /// the cell, if a delay is off-grid (calibration snaps every delay
+  /// through PsGrid::snap_ns) or the worst-case path overflows uint32.
   OverclockSim(Netlist nl, std::vector<double> cell_delay_ns,
-               TimingMode mode = TimingMode::Auto);
+               TimingMode mode = TimingMode::IntegerExact);
 
   const Netlist& netlist() const { return nl_; }
   /// The lowered form every evaluation runs on. Timing-free consumers
   /// (ground truth, reference values) may run eval64 on it directly.
   const CompiledNetlist& compiled() const { return cnl_; }
 
-  /// True iff run_stream propagates settle times as uint32 PsGrid ticks.
-  /// advance()/capture() always run the double model — with grid-exact
-  /// delays their doubles are exactly tick·2^-10, so the paths agree
-  /// bitwise either way.
-  bool integer_kernel() const { return !delay_ticks_.empty(); }
-
-  /// Worst-case settle path in ticks (integer kernel only; 0 otherwise).
+  /// Worst-case settle path in PsGrid ticks.
   std::uint64_t critical_path_ticks() const { return critical_path_ticks_; }
 
   /// The dense row fills (and dense/sparse crossover) run_stream uses —
@@ -149,60 +137,36 @@ class OverclockSim {
 
   /// Per-edge output snapshots of a whole input stream, as produced by
   /// run_stream(): for each sample, the settled (fully-functional) output
-  /// word plus the (bit, settle-time) pairs of the outputs that toggled at
+  /// word plus the (bit, settle-ticks) pairs of the outputs that toggled at
   /// that edge. Sampling the stream at any period is then
   ///
   ///   obs = settled[s];
+  ///   pt = PsGrid::period_ticks(period);
   ///   for t in [toggle_begin[s], toggle_begin[s+1]):
-  ///     if (toggle_settle[t] > period) obs ^= 1 << toggle_bit[t];
+  ///     if (toggle_settle_ticks[t] > pt) obs ^= 1 << toggle_bit[t];
   ///
-  /// — bitwise identical to capture() on every bit, but O(toggled) per
-  /// period. Buffers (including the internal scratch) are reused across
-  /// calls: steady-state streaming performs no heap allocation.
+  /// — bitwise identical to capture() on every bit (the threshold
+  /// conversion is exact — see PsGrid), but O(toggled) per period. Buffers
+  /// (including the internal scratch) are reused across calls:
+  /// steady-state streaming performs no heap allocation.
   struct SweepStream {
     std::vector<std::uint64_t> settled;     ///< [n] settled output words
     std::vector<std::uint32_t> toggle_begin;  ///< [n+1] offsets into the pair arrays
     std::vector<std::uint8_t> toggle_bit;
-    /// Settle times in ns — filled by the double (reference) kernel only;
-    /// empty after an integer-kernel run (see has_ticks).
-    std::vector<double> toggle_settle;
-    /// Settle times as PsGrid ticks — filled by the integer kernel only.
-    /// Exactly one of the two value arrays is populated per run; ns values
-    /// of an integer stream are recovered exactly via toggle_settle_ns()
-    /// (the dequantisation is a power-of-two scale — see PsGrid).
+    /// Settle times as PsGrid ticks; PsGrid::to_ns recovers the exact ns.
     std::vector<std::uint32_t> toggle_settle_ticks;
-    /// True iff the last run_stream filled toggle_settle_ticks (integer
-    /// kernel); false after a reference run. capture_word dispatches on it.
-    bool has_ticks = false;
-
-    /// Settle time of pair `t` in ns, whichever kernel produced it.
-    double toggle_settle_ns(std::size_t t) const {
-      return has_ticks ? PsGrid::to_ns(toggle_settle_ticks[t])
-                       : toggle_settle[t];
-    }
 
     /// Output word of sample `s` captured at `period_ns` — the sampling
     /// rule above as a helper. Each sample may use its own period (the
     /// batched projection path feeds every sample its jittered period),
     /// because settle times are frequency-independent: the period only
-    /// selects which toggled bits are captured fresh vs stale. Bitwise
-    /// identical to capture() on every bit, O(toggled at this edge).
-    /// Integer streams dispatch to the tick compare through the exact
-    /// threshold conversion — same bits, no doubles on the hot path.
+    /// selects which toggled bits are captured fresh vs stale.
     std::uint64_t capture_word(std::size_t s, double period_ns) const {
-      if (has_ticks)
-        return capture_word_ticks(s, PsGrid::period_ticks(period_ns));
-      std::uint64_t w = settled[s];
-      for (std::uint32_t t = toggle_begin[s]; t < toggle_begin[s + 1]; ++t)
-        w ^= static_cast<std::uint64_t>(toggle_settle[t] > period_ns)
-             << toggle_bit[t];
-      return w;
+      return capture_word_ticks(s, PsGrid::period_ticks(period_ns));
     }
 
-    /// Integer capture: branch-poor unsigned compares against a period
-    /// pre-converted through PsGrid::period_ticks. Valid after an
-    /// integer-kernel run_stream; bitwise identical to capture_word at
-    /// the same period (the threshold conversion is exact — see PsGrid).
+    /// capture_word with the period pre-converted through
+    /// PsGrid::period_ticks: branch-poor unsigned compares, no doubles.
     std::uint64_t capture_word_ticks(std::size_t s,
                                      std::uint64_t period_ticks) const {
       std::uint64_t w = settled[s];
@@ -213,11 +177,9 @@ class OverclockSim {
     }
 
     // Internal scratch of run_stream (value/toggle lane words, per-net
-    // settle lane rows — double or tick flavour depending on the kernel —
-    // carried-track rows for pipelined netlists, and inter-chunk carry
-    // bits). Not part of the result.
+    // settle tick lane rows, carried-track rows for pipelined netlists,
+    // and inter-chunk carry bits). Not part of the result.
     std::vector<std::uint64_t> words, tog;
-    std::vector<double> lanes, lanes_c;
     std::vector<std::uint32_t> lanes_ticks, lanes_c_ticks;
     std::vector<std::uint8_t> carry;
   };
@@ -227,23 +189,15 @@ class OverclockSim {
   /// per-edge snapshot of every sample. Functional values are evaluated 64
   /// samples at a time through the compiled netlist's bit-parallel eval64;
   /// settle times are then propagated only through the cells that actually
-  /// toggled at each edge (typically a small fraction). On the integer
-  /// kernel (integer_kernel()) the propagation is uint32 max-plus over
-  /// PsGrid tick rows; on the double kernel it is the same masked max/add
-  /// arithmetic as advance(). Either way the recorded settle times are
-  /// bitwise identical to advance()'s doubles (exact grid dequantisation —
-  /// see PsGrid). Requires num_outputs() <= 64 and a prior
-  /// reset() of `st`; on return `st` holds the same observable state as
-  /// `n` advance() calls (per-net settle times of untoggled nets excepted,
-  /// which later advance()/capture() calls never read).
+  /// toggled at each edge (typically a small fraction), as uint32 max-plus
+  /// over PsGrid tick rows. The recorded ticks dequantise bitwise to
+  /// advance()'s doubles (exact grid dequantisation — see PsGrid).
+  /// Requires num_outputs() <= 64 and a prior reset() of `st`; on return
+  /// `st` holds the same observable state as `n` advance() calls (per-net
+  /// settle times of untoggled nets excepted, which later advance()/
+  /// capture() calls never read).
   void run_stream(State& st, const std::uint8_t* inputs, std::size_t n,
                   SweepStream& out) const;
-
-  /// The retained double-settle kernel, runnable regardless of mode: the
-  /// golden reference the integer kernel is tested (and benched) against.
-  /// Identical contract to run_stream; never fills toggle_settle_ticks.
-  void run_stream_ref(State& st, const std::uint8_t* inputs, std::size_t n,
-                      SweepStream& out) const;
 
   // --- Convenience single-stream API over an internal State ---
 
@@ -282,7 +236,7 @@ class OverclockSim {
   std::vector<std::uint8_t> last_settled_outputs() const;
 
  private:
-  template <bool kIntKernel, bool kRegs>
+  template <bool kRegs>
   void run_stream_impl(State& st, const std::uint8_t* inputs, std::size_t n,
                        SweepStream& out) const;
   void advance_regs(State& st) const;
@@ -290,7 +244,7 @@ class OverclockSim {
   Netlist nl_;
   CompiledNetlist cnl_;
   std::vector<double> delay_;
-  std::vector<std::uint32_t> delay_ticks_;  ///< empty on the double kernel
+  std::vector<std::uint32_t> delay_ticks_;
   std::uint64_t critical_path_ticks_ = 0;
   lane::DenseKernels dense_ = lane::dense_kernels();
   State state_;                      // backs the convenience API

@@ -25,6 +25,8 @@ struct RazorConfig {
 /// One combinational cone protected by Razor registers.
 class RazorSim {
  public:
+  /// Delays lower as in OverclockSim: an off-grid delay throws, naming
+  /// the cell.
   RazorSim(Netlist nl, std::vector<double> cell_delay_ns, RazorConfig cfg);
 
   void reset(const std::vector<std::uint8_t>& inputs);

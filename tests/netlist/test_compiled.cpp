@@ -53,7 +53,7 @@ TEST(CompiledNetlist, AllConstantConeFoldsAway) {
 
   // A constant cone never transitions: even an absurdly short period
   // captures the functional value.
-  OverclockSim sim(nl, std::vector<double>(nl.num_cells(), 0.7));
+  OverclockSim sim(nl, std::vector<double>(nl.num_cells(), PsGrid::snap_ns(0.7)));
   sim.reset({0, 0});
   const auto captured = sim.step({1, 1}, 1e-9);
   EXPECT_EQ(captured, nl.evaluate_outputs({1, 1}));
@@ -81,7 +81,8 @@ TEST(CompiledNetlist, BufChainsFeedingOutputsKeepSettleExact) {
   // Buffers are annotated with (ignored) nonzero delays on purpose: the
   // chain must contribute exactly zero to the settle profile.
   std::vector<double> delays(nl.num_cells(), 123.0);
-  delays[static_cast<std::size_t>(g) - nl.num_inputs()] = 0.3;
+  const double not_delay = PsGrid::snap_ns(0.3);
+  delays[static_cast<std::size_t>(g) - nl.num_inputs()] = not_delay;
   OverclockSim sim(nl, delays);
   OverclockSim::State st;
   sim.reset(st, {0});
@@ -89,8 +90,8 @@ TEST(CompiledNetlist, BufChainsFeedingOutputsKeepSettleExact) {
   EXPECT_EQ(st.out_next, (std::vector<std::uint8_t>{1, 0}));
   EXPECT_EQ(st.out_prev, (std::vector<std::uint8_t>{0, 1}));
   EXPECT_EQ(st.out_settle[0], 0.0);  // registered input through Bufs
-  EXPECT_EQ(st.out_settle[1], 0.3);  // exactly the Not's delay
-  EXPECT_EQ(st.last_output_settle_ns, 0.3);
+  EXPECT_EQ(st.out_settle[1], not_delay);  // exactly the Not's delay
+  EXPECT_EQ(st.last_output_settle_ns, not_delay);
 }
 
 TEST(CompiledNetlist, DeadCellsWithSideFaninAreSweptOnlyWhenRequested) {
@@ -238,17 +239,11 @@ TEST(CompiledNetlist, QuantiseDelaysRejectsOffGridNamingTheCell) {
     EXPECT_NE(msg.find("delay of cell 1"), std::string::npos) << msg;
     EXPECT_NE(msg.find("grid"), std::string::npos) << msg;
   }
-  std::vector<std::uint32_t> ticks;
-  EXPECT_FALSE(cnl.try_quantise_delays(cnl.gather_delays(delays), ticks));
 
-  // The same contract one layer up: IntegerExact throws, Auto falls back
-  // to the double kernel, DoubleRef never lowers.
-  EXPECT_THROW(OverclockSim(nl, delays, TimingMode::IntegerExact), CheckError);
-  EXPECT_FALSE(OverclockSim(nl, delays, TimingMode::Auto).integer_kernel());
+  // The same contract one layer up: every OverclockSim lowers strictly.
+  EXPECT_THROW(OverclockSim(nl, delays), CheckError);
   const std::vector<double> exact{0.5, 0.25};
-  EXPECT_TRUE(OverclockSim(nl, exact, TimingMode::Auto).integer_kernel());
-  EXPECT_TRUE(OverclockSim(nl, exact, TimingMode::IntegerExact).integer_kernel());
-  EXPECT_FALSE(OverclockSim(nl, exact, TimingMode::DoubleRef).integer_kernel());
+  EXPECT_EQ(OverclockSim(nl, exact).critical_path_ticks(), 768u);
 }
 
 TEST(CompiledNetlist, QuantiseDelaysRejectsWorstCasePathOverflow) {
@@ -271,16 +266,14 @@ TEST(CompiledNetlist, QuantiseDelaysRejectsWorstCasePathOverflow) {
     EXPECT_NE(std::string(e.what()).find("overflows"), std::string::npos)
         << e.what();
   }
-  std::vector<std::uint32_t> ticks;
-  EXPECT_FALSE(cnl.try_quantise_delays(cnl.gather_delays(delays), ticks));
-  EXPECT_FALSE(OverclockSim(nl, delays, TimingMode::Auto).integer_kernel());
+  EXPECT_THROW(OverclockSim(nl, delays), CheckError);
 
   // Halving one link brings the path back under the range.
   const std::vector<double> fits{half_range_ns, PsGrid::to_ns((1u << 31) - 1)};
   std::uint64_t worst = 0;
   cnl.quantise_delays(cnl.gather_delays(fits), &worst);
   EXPECT_EQ(worst, (1ull << 32) - 1);
-  OverclockSim sim(nl, fits, TimingMode::IntegerExact);
+  OverclockSim sim(nl, fits);
   EXPECT_EQ(sim.critical_path_ticks(), (1ull << 32) - 1);
 }
 

@@ -88,7 +88,8 @@ TEST_P(RandomNetlist, OverclockAtCriticalPathMatchesFunctionalModel) {
   Netlist nl = random_netlist(7, 70, 10, rng);
   std::vector<double> delays(nl.num_cells(), 0.0);
   for (std::size_t i = 0; i < nl.num_cells(); ++i)
-    if (!cell_is_free(nl.cells()[i].type)) delays[i] = rng.uniform(0.05, 0.9);
+    if (!cell_is_free(nl.cells()[i].type))
+      delays[i] = PsGrid::snap_ns(rng.uniform(0.05, 0.9));
   const double critical =
       std::max(static_timing(nl, delays).critical_path_ns, 1e-6);
   const Netlist reference = nl;  // evaluate() on a pristine copy
@@ -107,7 +108,8 @@ TEST_P(RandomNetlist, SettleTimesNeverExceedSta) {
   Netlist nl = random_netlist(6, 50, 8, rng);
   std::vector<double> delays(nl.num_cells(), 0.0);
   for (std::size_t i = 0; i < nl.num_cells(); ++i)
-    if (!cell_is_free(nl.cells()[i].type)) delays[i] = rng.uniform(0.05, 0.9);
+    if (!cell_is_free(nl.cells()[i].type))
+      delays[i] = PsGrid::snap_ns(rng.uniform(0.05, 0.9));
   const double critical = static_timing(nl, delays).critical_path_ns;
   OverclockSim sim(std::move(nl), std::move(delays));
   sim.reset(random_inputs(6, rng));
@@ -221,10 +223,14 @@ struct InterpretedSim {
 TEST_P(RandomNetlist, CompiledSimMatchesInterpretedGolden) {
   Rng rng(GetParam() + 400);
   const Netlist nl = random_netlist_full(7, 80, 10, rng);
-  // Free cells get random (ignored) delays on purpose: the lowering must
-  // not let them leak into the settle profile.
+  // Free cells get random (ignored) off-grid delays on purpose: the
+  // lowering must neither quantise them nor let them leak into the settle
+  // profile. Every other delay is snapped onto the PsGrid.
   std::vector<double> delays(nl.num_cells());
-  for (auto& d : delays) d = rng.uniform(0.05, 0.9);
+  for (std::size_t i = 0; i < delays.size(); ++i) {
+    delays[i] = rng.uniform(0.05, 0.9);
+    if (!cell_is_free(nl.cells()[i].type)) delays[i] = PsGrid::snap_ns(delays[i]);
+  }
 
   InterpretedSim ref(nl, delays);
   OverclockSim sim(nl, delays);
@@ -260,7 +266,7 @@ TEST_P(RandomNetlist, RunStreamMatchesPerEdgeAdvance) {
   Rng rng(GetParam() + 600);
   const Netlist nl = random_netlist_full(6, 90, 9, rng);
   std::vector<double> delays(nl.num_cells());
-  for (auto& d : delays) d = rng.uniform(0.05, 0.9);
+  for (auto& d : delays) d = PsGrid::snap_ns(rng.uniform(0.05, 0.9));
   OverclockSim sim(nl, delays);
 
   // An awkward stream length on purpose: full chunks plus a partial tail.
@@ -303,8 +309,9 @@ TEST_P(RandomNetlist, RunStreamMatchesPerEdgeAdvance) {
     for (std::size_t t = 0; t < cnt; ++t) {
       const std::size_t ti = stream.toggle_begin[s] + t;
       ASSERT_EQ(stream.toggle_bit[ti], want_tog[s][t].first);
-      // Settle times must be bitwise identical, not just close.
-      ASSERT_EQ(stream.toggle_settle[ti], want_tog[s][t].second)
+      // Settle ticks must dequantise bitwise onto advance()'s doubles.
+      ASSERT_EQ(PsGrid::to_ns(stream.toggle_settle_ticks[ti]),
+                want_tog[s][t].second)
           << "seed " << GetParam() << " sample " << s << " toggle " << t;
     }
   }

@@ -179,6 +179,51 @@ TEST(ProjectionFleet, BackgroundThreadRecharacterisesWhileServing) {
   EXPECT_EQ(log.results.size(), 20u);
 }
 
+TEST(ProjectionFleet, ThrowingBackgroundRecheckIsContainedPerDie) {
+  // A drift so large that every grid point lands past the supporting
+  // logic's Fmax makes die 1's probe throw. The background thread must
+  // count it, leave die 1's models and floor as they were, keep cycling
+  // die 0 and keep the fleet serving.
+  auto cfg = base_config({kReferenceDieSeed, 83});
+  cfg.recheck_period_ms = 2.0;
+  cfg.recheck_samples = 60;
+  FleetLog log;
+  ProjectionFleet fleet(fleet_design(), cfg, log.callback());
+  fleet.set_die_drift(1, 1000.0);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  const auto wait_for = [&](auto&& done) {
+    while (!done() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return done();
+  };
+  // Every cycle that starts after the drift throws, so once one failure is
+  // counted the die's snapshot can no longer move.
+  ASSERT_TRUE(wait_for([&] { return fleet.die_status(1).recheck_failures >= 1; }));
+  const auto models = fleet.die_models(1);
+  const double floor_mhz = fleet.die_status(1).f_floor_mhz;
+  const auto die0_cycles = fleet.die_status(0).recharacterisations;
+  ASSERT_TRUE(wait_for([&] {
+    return fleet.die_status(1).recheck_failures >= 2 &&
+           fleet.die_status(0).recharacterisations > die0_cycles;
+  }));
+
+  Rng rng(17);
+  for (std::uint64_t id = 1; id <= 20; ++id)
+    ASSERT_TRUE(fleet.submit({id, random_codes(rng, 4), 0.0}));
+  fleet.wait_idle();
+  fleet.stop();
+
+  const auto s1 = fleet.die_status(1);
+  EXPECT_GE(s1.recheck_failures, 2u);
+  EXPECT_EQ(fleet.die_models(1), models);
+  EXPECT_EQ(s1.f_floor_mhz, floor_mhz);
+  EXPECT_EQ(fleet.die_status(0).recheck_failures, 0u);
+  std::lock_guard lock(log.mutex);
+  EXPECT_EQ(log.results.size(), 20u);
+}
+
 TEST(ProjectionFleet, Validation) {
   const auto design = fleet_design();
   {

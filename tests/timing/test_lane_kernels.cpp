@@ -1,9 +1,9 @@
 // Property tests for the lane-parallel dense row fills: every dispatchable
 // ISA variant (scalar / AVX2 / AVX-512), forced through the dense path,
-// the sparse path, and the adaptive crossover, must reproduce the retained
-// double reference bitwise on arbitrary circuits — settled words, toggle
-// layout, settle ticks — including partial 64-lane tails and the
-// all-lanes-toggle / zero-toggle extremes.
+// the sparse path, and the adaptive crossover, must reproduce per-sample
+// advance() bitwise on arbitrary circuits — settled words, toggle layout,
+// settle ticks — including partial 64-lane tails and the all-lanes-toggle /
+// zero-toggle extremes.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,6 +15,7 @@
 #include "netlist/netlist.hpp"
 #include "timing/lane_kernels.hpp"
 #include "timing/overclock_sim.hpp"
+#include "stream_oracle.hpp"
 
 namespace oclp {
 namespace {
@@ -48,7 +49,7 @@ Netlist random_netlist(std::size_t n_in, std::size_t n_cells, std::size_t n_out,
   return nb.build();
 }
 
-// Grid-snapped random delays, so TimingMode::Auto lowers integer.
+// Random delays snapped onto the PsGrid, as the calibration does.
 std::vector<double> grid_delays(const Netlist& nl, Rng& rng) {
   std::vector<double> delays(nl.num_cells(), 0.0);
   for (std::size_t i = 0; i < nl.num_cells(); ++i)
@@ -64,34 +65,6 @@ std::vector<std::uint8_t> random_stream(std::size_t n, std::size_t n_in,
   return inputs;
 }
 
-// Run `inputs` through `sim` with the given kernels/cutoff and require the
-// stream (and post-stream state) to be bitwise identical to the double
-// reference.
-void expect_matches_reference(OverclockSim& sim,
-                              const std::vector<std::uint8_t>& init,
-                              const std::vector<std::uint8_t>& inputs,
-                              std::size_t n, const std::string& what) {
-  OverclockSim::State ist, dst;
-  sim.reset(ist, init);
-  sim.reset(dst, init);
-  OverclockSim::SweepStream istream, dstream;
-  sim.run_stream(ist, inputs.data(), n, istream);
-  sim.run_stream_ref(dst, inputs.data(), n, dstream);
-
-  ASSERT_EQ(istream.settled, dstream.settled) << what;
-  ASSERT_EQ(istream.toggle_begin, dstream.toggle_begin) << what;
-  ASSERT_EQ(istream.toggle_bit, dstream.toggle_bit) << what;
-  ASSERT_EQ(istream.toggle_settle_ticks.size(), dstream.toggle_settle.size())
-      << what;
-  for (std::size_t t = 0; t < dstream.toggle_settle.size(); ++t)
-    ASSERT_EQ(PsGrid::to_ns(istream.toggle_settle_ticks[t]),
-              dstream.toggle_settle[t])
-        << what << " toggle " << t;
-  ASSERT_EQ(ist.out_settle, dst.out_settle) << what;
-  ASSERT_EQ(ist.out_prev, dst.out_prev) << what;
-  ASSERT_EQ(ist.out_next, dst.out_next) << what;
-}
-
 class LaneKernelSeeds : public ::testing::TestWithParam<int> {};
 
 TEST_P(LaneKernelSeeds, EveryIsaAndCrossoverMatchesReference) {
@@ -99,8 +72,7 @@ TEST_P(LaneKernelSeeds, EveryIsaAndCrossoverMatchesReference) {
   for (const bool with_regs : {false, true}) {
     Netlist nl = random_netlist(6, 64, 10, with_regs, rng);
     const auto delays = grid_delays(nl, rng);
-    OverclockSim sim(std::move(nl), delays, TimingMode::Auto);
-    ASSERT_TRUE(sim.integer_kernel());
+    OverclockSim sim(std::move(nl), delays);
 
     std::vector<std::uint8_t> init(sim.netlist().num_inputs());
     for (auto& b : init) b = static_cast<std::uint8_t>(rng.uniform_u64(2));
@@ -120,11 +92,11 @@ TEST_P(LaneKernelSeeds, EveryIsaAndCrossoverMatchesReference) {
           lane::DenseKernels k = variants[v];
           k.dense_cutoff = cutoff;
           sim.set_lane_kernels(k);
-          expect_matches_reference(
-              sim, init, inputs, n,
+          ASSERT_NO_FATAL_FAILURE(expect_stream_matches_advance(
+              sim, init, inputs, n, {},
               std::string(variants[v].isa) + " cutoff " +
                   std::to_string(cutoff) + " n " + std::to_string(n) +
-                  (with_regs ? " regs" : ""));
+                  (with_regs ? " regs" : "")));
         }
       }
     }
@@ -142,8 +114,7 @@ TEST_P(LaneKernelSeeds, ToggleDensityExtremesMatchReference) {
   for (const bool with_regs : {false, true}) {
     Netlist nl = random_netlist(5, 48, 8, with_regs, rng);
     const auto delays = grid_delays(nl, rng);
-    OverclockSim sim(std::move(nl), delays, TimingMode::Auto);
-    ASSERT_TRUE(sim.integer_kernel());
+    OverclockSim sim(std::move(nl), delays);
 
     const std::size_t nin = sim.netlist().num_inputs();
     std::vector<std::uint8_t> init(nin, 0);
@@ -166,9 +137,10 @@ TEST_P(LaneKernelSeeds, ToggleDensityExtremesMatchReference) {
         const std::string tag = std::string(variants[v].isa) + " cutoff " +
                                 std::to_string(cutoff) +
                                 (with_regs ? " regs" : "");
-        expect_matches_reference(sim, init, alternating, n,
-                                 tag + " all-toggle");
-        expect_matches_reference(sim, init, constant, n, tag + " zero-toggle");
+        ASSERT_NO_FATAL_FAILURE(expect_stream_matches_advance(
+            sim, init, alternating, n, {}, tag + " all-toggle"));
+        ASSERT_NO_FATAL_FAILURE(expect_stream_matches_advance(
+            sim, init, constant, n, {}, tag + " zero-toggle"));
       }
     }
     sim.set_lane_kernels(lane::dense_kernels());

@@ -6,16 +6,19 @@
 #include "mult/bitcodec.hpp"
 #include "mult/multiplier.hpp"
 #include "netlist/sta.hpp"
+#include "stream_oracle.hpp"
 
 namespace oclp {
 namespace {
 
-// A sim over a wa×wb multiplier with uniform per-cell delay.
+// A sim over a wa×wb multiplier with uniform per-cell delay, snapped onto
+// the PsGrid as the calibration snaps every delay.
 OverclockSim make_sim(int wa, int wb, double cell_delay) {
   Netlist nl = make_multiplier(wa, wb);
   std::vector<double> delays(nl.num_cells(), 0.0);
   for (std::size_t i = 0; i < nl.num_cells(); ++i)
-    if (!cell_is_free(nl.cells()[i].type)) delays[i] = cell_delay;
+    if (!cell_is_free(nl.cells()[i].type))
+      delays[i] = PsGrid::snap_ns(cell_delay);
   return OverclockSim(std::move(nl), std::move(delays));
 }
 
@@ -45,7 +48,7 @@ TEST(OverclockSim, PeriodAtCriticalPathIsErrorFree) {
   Netlist nl = make_multiplier(5, 5);
   std::vector<double> delays(nl.num_cells(), 0.0);
   for (std::size_t i = 0; i < nl.num_cells(); ++i)
-    if (!cell_is_free(nl.cells()[i].type)) delays[i] = 0.7;
+    if (!cell_is_free(nl.cells()[i].type)) delays[i] = PsGrid::snap_ns(0.7);
   const double critical = static_timing(nl, delays).critical_path_ns;
   OverclockSim sim(std::move(nl), std::move(delays));
   Rng rng(5);
@@ -300,9 +303,9 @@ TEST(OverclockSim, InvalidPeriodThrows) {
   EXPECT_THROW(sim.step(mult_inputs(1, 3, 1, 3), 0.0), CheckError);
 }
 
-// --- Integer-picosecond kernel vs the retained double reference ----------
+// --- Integer-picosecond stream kernel vs scalar advance() ----------------
 
-// Random per-cell delays snapped onto the PsGrid, so Auto lowers integer.
+// Random per-cell delays snapped onto the PsGrid.
 std::vector<double> grid_delays(const Netlist& nl, Rng& rng) {
   std::vector<double> delays(nl.num_cells(), 0.0);
   for (std::size_t i = 0; i < nl.num_cells(); ++i)
@@ -319,91 +322,55 @@ std::vector<std::uint8_t> random_stream(std::size_t n, int wa, int wb, Rng& rng)
   return inputs;
 }
 
-TEST(OverclockSim, IntegerKernelMatchesDoubleReferenceBitwise) {
-  // The tentpole exactness theorem, end to end: with grid-exact delays the
-  // integer run_stream and the retained double reference must agree on
-  // every recorded value — settled words, toggle layout, settle-time
-  // doubles (exact tick dequantisation), post-stream state, and captures
-  // at arbitrary jittered periods including exact ties. Batch sizes cover
-  // a lone sample, both sides of the 64-lane chunk boundary, and a
-  // multi-chunk stream with a partial tail.
+TEST(OverclockSim, IntegerKernelMatchesScalarAdvanceBitwise) {
+  // The exactness theorem, end to end: with grid-exact delays the integer
+  // run_stream and per-sample double advance()/capture() must agree on
+  // every recorded value — settled words, toggle layout, settle ticks
+  // (exact dequantisation onto the doubles), post-stream state, and
+  // captures at arbitrary jittered periods including exact ties. Batch
+  // sizes cover a lone sample, both sides of the 64-lane chunk boundary,
+  // and a multi-chunk stream with a partial tail.
   Rng rng(2014);
   const int wa = 5, wb = 5;
   Netlist nl = make_multiplier(wa, wb);
   const auto delays = grid_delays(nl, rng);
-  OverclockSim sim(std::move(nl), delays, TimingMode::Auto);
-  ASSERT_TRUE(sim.integer_kernel());
+  OverclockSim sim(std::move(nl), delays);
   ASSERT_GT(sim.critical_path_ticks(), 0u);
 
   for (std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},
                         std::size_t{65}, std::size_t{197}}) {
     const auto inputs = random_stream(n, wa, wb, rng);
-    OverclockSim::State ist, dst;
-    const auto init = mult_inputs(3, wa, 1, wb);
-    sim.reset(ist, init);
-    sim.reset(dst, init);
-    OverclockSim::SweepStream istream, dstream;
-    sim.run_stream(ist, inputs.data(), n, istream);
-    sim.run_stream_ref(dst, inputs.data(), n, dstream);
-
-    ASSERT_EQ(istream.settled, dstream.settled) << "n=" << n;
-    ASSERT_EQ(istream.toggle_begin, dstream.toggle_begin) << "n=" << n;
-    ASSERT_EQ(istream.toggle_bit, dstream.toggle_bit) << "n=" << n;
-    // Integer streams carry ticks only, reference streams ns only; each
-    // tick dequantises exactly onto the reference double.
-    EXPECT_TRUE(istream.has_ticks);
-    EXPECT_FALSE(dstream.has_ticks);
-    EXPECT_TRUE(istream.toggle_settle.empty());
-    EXPECT_TRUE(dstream.toggle_settle_ticks.empty());
-    ASSERT_EQ(istream.toggle_settle_ticks.size(), dstream.toggle_settle.size());
-    for (std::size_t t = 0; t < dstream.toggle_settle.size(); ++t) {
-      ASSERT_EQ(PsGrid::to_ns(istream.toggle_settle_ticks[t]),
-                dstream.toggle_settle[t]);
-      ASSERT_EQ(istream.toggle_settle_ns(t), dstream.toggle_settle_ns(t));
-    }
-
-    // Post-stream observable state is identical (advance/capture interop).
-    ASSERT_EQ(ist.out_settle, dst.out_settle) << "n=" << n;
-    ASSERT_EQ(ist.out_prev, dst.out_prev) << "n=" << n;
-    ASSERT_EQ(ist.out_next, dst.out_next) << "n=" << n;
-    ASSERT_EQ(ist.last_output_settle_ns, dst.last_output_settle_ns);
-
-    // Captures: double rule vs pre-converted tick thresholds at arbitrary
-    // (non-grid) periods, plus forced exact ties.
-    for (std::size_t s = 0; s < n; ++s) {
-      for (int trial = 0; trial < 8; ++trial) {
-        double period = rng.uniform(0.1, 8.0);
-        if (trial == 0 && istream.toggle_begin[s] < istream.toggle_begin[s + 1])
-          period = istream.toggle_settle_ns(istream.toggle_begin[s]);  // tie
-        const auto want = dstream.capture_word(s, period);
-        ASSERT_EQ(istream.capture_word(s, period), want);
-        ASSERT_EQ(istream.capture_word_ticks(s, PsGrid::period_ticks(period)),
-                  want)
-            << "sample " << s << " period " << period;
-      }
-    }
+    std::vector<double> periods(8);
+    for (auto& p : periods) p = rng.uniform(0.1, 8.0);
+    ASSERT_NO_FATAL_FAILURE(expect_stream_matches_advance(
+        sim, mult_inputs(3, wa, 1, wb), inputs, n, periods,
+        "n=" + std::to_string(n)));
   }
 }
 
 TEST(OverclockSim, IntegerKernelInteroperatesWithStepAndResample) {
   // A streamed prefix followed by step()/resample_last must behave exactly
-  // like the all-double sim: the stream leaves identical register state.
+  // like a sim that stepped the prefix sample by sample: the stream leaves
+  // identical register state.
   Rng rng(55);
   const int wa = 4, wb = 4;
   Netlist nl = make_multiplier(wa, wb);
   const auto delays = grid_delays(nl, rng);
   Netlist nl2 = nl;
-  OverclockSim isim(std::move(nl), delays, TimingMode::IntegerExact);
-  OverclockSim dsim(std::move(nl2), delays, TimingMode::DoubleRef);
-  ASSERT_TRUE(isim.integer_kernel());
-  ASSERT_FALSE(dsim.integer_kernel());
+  OverclockSim isim(std::move(nl), delays);
+  OverclockSim dsim(std::move(nl2), delays);
 
-  const auto inputs = random_stream(70, wa, wb, rng);
-  OverclockSim::SweepStream is, ds;
+  const std::size_t n = 70;
+  const std::size_t nin = static_cast<std::size_t>(wa + wb);
+  const auto inputs = random_stream(n, wa, wb, rng);
+  OverclockSim::SweepStream is;
   isim.reset(mult_inputs(0, wa, 0, wb));
   dsim.reset(mult_inputs(0, wa, 0, wb));
-  isim.run_stream(inputs.data(), 70, is);
-  dsim.run_stream(inputs.data(), 70, ds);
+  isim.run_stream(inputs.data(), n, is);
+  for (std::size_t s = 0; s < n; ++s)
+    dsim.step({inputs.begin() + static_cast<std::ptrdiff_t>(s * nin),
+               inputs.begin() + static_cast<std::ptrdiff_t>((s + 1) * nin)},
+              1.0);
   for (int i = 0; i < 30; ++i) {
     const unsigned a = rng.uniform_u64(16), b = rng.uniform_u64(16);
     const double period = rng.uniform(0.3, 6.0);

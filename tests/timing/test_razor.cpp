@@ -10,11 +10,14 @@
 namespace oclp {
 namespace {
 
+// A Razor-protected wl×wl multiplier with uniform per-cell delay, snapped
+// onto the PsGrid as the calibration snaps every delay.
 RazorSim make_razor(int wl, double cell_delay, RazorConfig cfg) {
   Netlist nl = make_multiplier(wl, wl);
   std::vector<double> delays(nl.num_cells(), 0.0);
   for (std::size_t i = 0; i < nl.num_cells(); ++i)
-    if (!cell_is_free(nl.cells()[i].type)) delays[i] = cell_delay;
+    if (!cell_is_free(nl.cells()[i].type))
+      delays[i] = PsGrid::snap_ns(cell_delay);
   return RazorSim(std::move(nl), std::move(delays), cfg);
 }
 
@@ -157,15 +160,35 @@ TEST(Razor, ConfigValidation) {
   RazorConfig bad;
   bad.shadow_margin_ns = 0.0;
   Netlist nl = make_multiplier(3, 3);
-  std::vector<double> delays(nl.num_cells(), 0.1);
+  std::vector<double> delays(nl.num_cells(), PsGrid::snap_ns(0.1));
   EXPECT_THROW(RazorSim(std::move(nl), std::move(delays), bad), CheckError);
+}
+
+TEST(Razor, RejectsOffGridDelayNamingTheCell) {
+  // Razor lowers its cone like every OverclockSim: an uncalibrated
+  // (off-grid) delay is a construction error naming the cell.
+  NetlistBuilder nb;
+  const auto in = nb.add_inputs(2);
+  const auto n1 = nb.and_(in[0], in[1]);
+  nb.mark_output(nb.xor_(n1, in[0]));
+  const Netlist nl = nb.build();
+  std::vector<double> delays{0.5, 0.1};  // 0.1·1024 = 102.4: off-grid
+  try {
+    RazorSim(nl, delays, RazorConfig{});
+    FAIL() << "off-grid delay must be rejected";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("delay of cell 1"), std::string::npos)
+        << e.what();
+  }
+  delays[1] = PsGrid::snap_ns(delays[1]);
+  EXPECT_NO_THROW(RazorSim(nl, delays, RazorConfig{}));
 }
 
 TEST(OverclockSim, ResampleLastMatchesStepSemantics) {
   Netlist nl = make_multiplier(6, 6);
   std::vector<double> delays(nl.num_cells(), 0.0);
   for (std::size_t i = 0; i < nl.num_cells(); ++i)
-    if (!cell_is_free(nl.cells()[i].type)) delays[i] = 0.4;
+    if (!cell_is_free(nl.cells()[i].type)) delays[i] = PsGrid::snap_ns(0.4);
   OverclockSim sim(std::move(nl), std::move(delays));
   sim.reset(mult_in(0, 0, 6));
   Rng rng(5);
@@ -182,7 +205,7 @@ TEST(OverclockSim, ResampleLastMatchesStepSemantics) {
 
 TEST(OverclockSim, ResampleBeforeStepThrows) {
   Netlist nl = make_multiplier(3, 3);
-  std::vector<double> delays(nl.num_cells(), 0.1);
+  std::vector<double> delays(nl.num_cells(), PsGrid::snap_ns(0.1));
   OverclockSim sim(std::move(nl), std::move(delays));
   EXPECT_THROW(sim.resample_last(1.0), CheckError);
   sim.reset(mult_in(0, 0, 3));

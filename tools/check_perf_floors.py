@@ -4,10 +4,12 @@
 Reads the committed floors (bench/perf_floors.json), then for each listed
 bench JSON:
 
-  * every dotted-path metric must be >= its floor (a perf regression), and
-  * every ``*_checksum_match`` and ``*_identical`` field anywhere in the
-    document must be true (a correctness regression, which outranks any
-    speedup).
+  * every dotted-path metric must be >= its floor (a perf regression),
+  * every ``*_checksum_match``, ``*_identical`` and ``*_dominates_or_equals``
+    field anywhere in the document must be true (a correctness regression,
+    which outranks any speedup), and
+  * at least one metric or flag must be checked (a bench listed with no
+    floors is there for its flags; a JSON that lost them all fails).
 
 Usage:
     check_perf_floors.py --floors bench/perf_floors.json --dir build
@@ -32,7 +34,7 @@ def resolve(doc, dotted):
     return node
 
 
-CORRECTNESS_SUFFIXES = ("_checksum_match", "_identical")
+CORRECTNESS_SUFFIXES = ("_checksum_match", "_identical", "_dominates_or_equals")
 
 
 def checksum_fields(node, prefix=""):
@@ -69,6 +71,7 @@ def main():
             continue
         with open(bench_path, encoding="utf-8") as f:
             doc = json.load(f)
+        checked_before = checked
 
         for dotted, floor in metrics.items():
             value = resolve(doc, dotted)
@@ -88,6 +91,9 @@ def main():
             else:
                 checked += 1
                 print(f"ok  {bench_name}: {path} = true")
+
+        if checked == checked_before:
+            failures.append(f"{bench_name}: no floor or correctness flag checked")
 
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
